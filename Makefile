@@ -37,8 +37,9 @@ lint:
 	cargo fmt --check
 
 ## Golden-stats regression checks: compare fresh runs against the pinned
-## snapshots in tests/golden/ (incl. the RISC-V kernel sweep), single- and
-## multi-threaded (see EXPERIMENTS.md).
+## snapshots in tests/golden/ (incl. the RISC-V kernel sweep and the four
+## golden matrices run sampled, sampled.golden), single- and multi-threaded
+## (see EXPERIMENTS.md).
 ## perf_invariance and skip_equivalence hard-pin their own 1- and 8-thread
 ## runners (they ignore DKIP_THREADS), so one invocation covers both thread
 ## counts; skip_equivalence additionally runs every suite with the
@@ -48,8 +49,8 @@ golden:
 	DKIP_THREADS=1 cargo test -q -p dkip --test golden_stats --test determinism --test riscv_frontend --test perf_invariance --test skip_equivalence
 	DKIP_THREADS=8 cargo test -q -p dkip --test golden_stats --test determinism --test riscv_frontend
 
-## Regenerate the golden snapshots after an *intended* behavioural change,
-## then review `git diff tests/golden/`.
+## Regenerate the golden snapshots (sampled.golden included) after an
+## *intended* behavioural change, then review `git diff tests/golden/`.
 bless:
 	DKIP_BLESS=1 cargo test -q -p dkip --test golden_stats
 

@@ -13,6 +13,8 @@
 use crate::experiments::{riscv_kernel_runs, riscv_machines, RISCV_BUDGET};
 use crate::runner::{Job, Machine};
 use dkip_model::config::{BaselineConfig, DkipConfig, KiloConfig, MemoryHierarchyConfig};
+use dkip_model::SampleConfig;
+use dkip_riscv::{Kernel, KernelRun};
 use dkip_trace::Benchmark;
 
 /// Instruction budget shared by the synthetic golden jobs.
@@ -171,6 +173,93 @@ pub fn golden_suites() -> Vec<(&'static str, Vec<Job>)> {
     ]
 }
 
+/// Instruction budget of the synthetic jobs in the sampled suites: long
+/// enough for several sampling periods per job (the 4 000-instruction
+/// golden budget is shorter than a single period).
+pub const SAMPLED_BUDGET: u64 = 100_000;
+
+/// The golden RISC-V matrix (every kernel on every family) with kernel
+/// sizes scaled up to ~70k–200k dynamic instructions, so each job's full
+/// execution spans many sampling periods. Runs to completion.
+fn scaled_riscv_jobs() -> Vec<Job> {
+    let runs = [
+        KernelRun::new(Kernel::Matmul, 16),
+        KernelRun::new(Kernel::ListWalk, 4096),
+        KernelRun::new(Kernel::Sieve, 8000),
+        KernelRun::new(Kernel::FibRec, 19),
+        KernelRun::new(Kernel::Memcpy, 8192),
+        KernelRun::new(Kernel::BoxBlur, 28),
+    ];
+    let mem = MemoryHierarchyConfig::paper_default();
+    let mut jobs = Vec::new();
+    for (_, machine) in riscv_machines() {
+        for run in runs {
+            jobs.push(Job::new(
+                format!("{}/{}", machine.family(), run.name()),
+                machine.clone(),
+                mem.clone(),
+                run,
+                1_000_000,
+            ));
+        }
+    }
+    jobs
+}
+
+/// The four golden matrices run under sampled simulation, keyed by suite
+/// name: the synthetic suites at [`SAMPLED_BUDGET`], the RISC-V suite at
+/// scaled kernel sizes. Rates are per suite: the D-KIP's latency tolerance
+/// needs a denser rate (smaller gaps) than the other families, because
+/// draining between periods forfeits more of its overlap.
+///
+/// `tests/sampled_accuracy.rs` holds these estimates to error bands against
+/// their exact twins; `tests/golden/sampled.golden` pins them bit for bit.
+///
+/// # Panics
+///
+/// Never: the rates are valid literals.
+#[must_use]
+pub fn golden_sampled_suites() -> Vec<(&'static str, Vec<Job>)> {
+    let sampled = |jobs: Vec<Job>, budget: Option<u64>, rate: &str| -> Vec<Job> {
+        let rate = SampleConfig::parse(rate).expect("valid sampling rate");
+        jobs.into_iter()
+            .map(|mut job| {
+                job.budget = budget.unwrap_or(job.budget);
+                job.with_sample(rate)
+            })
+            .collect()
+    };
+    let budget = Some(SAMPLED_BUDGET);
+    vec![
+        (
+            "baseline",
+            sampled(golden_baseline_jobs(), budget, "20000:4000:4000"),
+        ),
+        (
+            "kilo",
+            sampled(golden_kilo_jobs(), budget, "20000:4000:4000"),
+        ),
+        (
+            "dkip",
+            sampled(golden_dkip_jobs(), budget, "12000:3000:3000"),
+        ),
+        (
+            "riscv",
+            sampled(scaled_riscv_jobs(), None, "20000:4000:4000"),
+        ),
+    ]
+}
+
+/// Every sampled suite concatenated in [`golden_sampled_suites`] order: the
+/// sweep pinned by `tests/golden/sampled.golden`.
+#[must_use]
+pub fn golden_sampled_jobs() -> Vec<Job> {
+    golden_sampled_suites()
+        .into_iter()
+        .flat_map(|(_, jobs)| jobs)
+        .collect()
+}
+
 /// Resolves a sweep name as used by `dkip-sim sweep` and the serve
 /// protocol: one of the golden suites (`baseline`, `kilo`, `dkip`,
 /// `riscv`) or `all` (every suite concatenated in snapshot order). An
@@ -247,6 +336,18 @@ mod tests {
         assert!(golden_suite_jobs("bogus", None)
             .unwrap_err()
             .contains("bogus"));
+    }
+
+    #[test]
+    fn sampled_suites_mirror_the_golden_matrices() {
+        let suites = golden_sampled_suites();
+        let names: Vec<&str> = suites.iter().map(|(n, _)| *n).collect();
+        assert_eq!(names, ["baseline", "kilo", "dkip", "riscv"]);
+        for ((_, sampled), (_, golden)) in suites.iter().zip(golden_suites()) {
+            assert_eq!(sampled.len(), golden.len());
+            assert!(sampled.iter().all(|j| j.sample.is_some()));
+        }
+        assert_eq!(golden_sampled_jobs().len(), 5 + 3 + 5 + 18);
     }
 
     #[test]

@@ -77,6 +77,15 @@ fn golden_riscv_family() {
     check_family("riscv.golden", &suites::golden_riscv_jobs());
 }
 
+#[test]
+fn golden_sampled_suites() {
+    // The four golden matrices at the sampled-accuracy budgets and rates
+    // (`suites::golden_sampled_suites`). `sampled_accuracy` only holds these
+    // estimates to error bands; this pins them bit for bit, so a change to
+    // the sampling driver or the warming path that should be invisible is.
+    check_family("sampled.golden", &suites::golden_sampled_jobs());
+}
+
 /// The golden files themselves must carry real data: every job section has
 /// a non-zero committed count, so a perturbed IPC can't hide behind zeros.
 #[test]
@@ -91,6 +100,7 @@ fn golden_snapshots_contain_live_counters() {
         "kilo.golden",
         "dkip.golden",
         "riscv.golden",
+        "sampled.golden",
     ] {
         let path = golden_path(name);
         let Ok(content) = std::fs::read_to_string(&path) else {
