@@ -211,13 +211,14 @@ impl DkipProcessor {
             )
         });
         format!(
-            "cycle={} committed={} rob={} head=[{}] iq_int={} iq_fp={} llib={}L/{}F mp={}L/{}F chkpt={} llbv={} lsq={}",
+            "cycle={} committed={} rob={} head=[{}] iq_int={} iq_fp={} wakeups={} llib={}L/{}F mp={}L/{}F chkpt={} llbv={} lsq={}",
             self.cycle,
             self.stats.committed,
             self.rob.len(),
             head.unwrap_or_else(|| "empty".to_owned()),
             self.cp_int_iq.len(),
             self.cp_fp_iq.len(),
+            self.cp_consumers.len(),
             self.llib_int.len(),
             self.llib_fp.len(),
             self.mp_int.occupancy(),
@@ -726,6 +727,19 @@ impl DkipProcessor {
         self.cp_consumers.recycle(waiters);
     }
 
+    /// Drops the wakeup list of a producer leaving the Aging-ROB without
+    /// completing in the Cache Processor: a long-latency load handed to the
+    /// Address Processor, or an instruction drained to an LLIB. The list is
+    /// dead — [`Self::complete_cp_instruction`] returns before its `take`
+    /// once the seq has left the ROB, and `cp_dispatch` only wires producers
+    /// still in the ROB — and its consumers are classified through the LLBV
+    /// at Analyze instead. Left in place, such lists would grow the table
+    /// (and every snapshot of the processor) with the length of the run.
+    fn drop_cp_wakeups(&mut self, seq: u64) {
+        let dead = self.cp_consumers.take(seq);
+        self.cp_consumers.recycle(dead);
+    }
+
     fn wake_cp_consumer(&mut self, seq: u64) {
         let Some(entry) = self.rob.get_mut(seq) else {
             return;
@@ -793,6 +807,7 @@ impl DkipProcessor {
                 };
                 let entry = self.rob.pop_head().expect("head exists");
                 self.cp_long_latency_loads.remove(&seq);
+                self.drop_cp_wakeups(seq);
                 if let Some(dst) = entry.op.dst {
                     self.llbv.mark(dst, LowLocalityWriter::Load(seq));
                 }
@@ -909,6 +924,7 @@ impl DkipProcessor {
         };
 
         let entry = self.rob.pop_head().expect("caller checked");
+        self.drop_cp_wakeups(seq);
         // The instruction leaves the CP issue queue if it was still waiting
         // there.
         match entry.queue_class {
@@ -1211,6 +1227,30 @@ mod tests {
 
     fn run(cfg: &DkipConfig, mem: MemoryHierarchyConfig, bench: Benchmark, n: u64) -> SimStats {
         run_dkip(cfg, &mem, bench, n, 1)
+    }
+
+    #[test]
+    fn cp_wakeup_table_stays_bounded_by_the_aging_rob() {
+        // Only producers still in flight in the Aging-ROB may hold a wakeup
+        // list; one left behind by a producer that departed for the
+        // low-locality side is a leak that grows the core's state (and
+        // every snapshot of it) with the length of the run.
+        let cfg = DkipConfig::paper_default();
+        let bound = cfg.cache_processor.rob_capacity;
+        for bench in [Benchmark::Mcf, Benchmark::Gcc, Benchmark::Swim] {
+            let mem = MemoryHierarchy::new(MemoryHierarchyConfig::mem_400()).unwrap();
+            let mut proc_ = DkipProcessor::new(cfg.clone(), mem);
+            let mut trace = TraceGenerator::new(bench, 1);
+            for target in (1..=5).map(|step| step * 20_000) {
+                proc_.run(&mut trace, target);
+                assert!(
+                    proc_.cp_consumers.len() <= bound,
+                    "{bench:?} after {target} instructions: {} wakeup lists for a \
+                     {bound}-entry Aging-ROB",
+                    proc_.cp_consumers.len()
+                );
+            }
+        }
     }
 
     #[test]
