@@ -1,4 +1,4 @@
-//! Sampled simulation: checkpointed fast-forward + detailed windows.
+//! Sampled simulation: functionally warmed fast-forward + detailed windows.
 //!
 //! Exact mode simulates every instruction of a job's budget in detail. For
 //! long workloads that is the dominant cost of regenerating the paper's
@@ -17,13 +17,15 @@
 //!                                 and predictor, no timing is modelled
 //! ```
 //!
-//! * Every period seeds its detailed portion from an architectural-state
-//!   checkpoint ([`dkip_ooo::OooCore::snapshot`] /
-//!   [`dkip_core::DkipProcessor::snapshot`]) taken at the end of the
-//!   previous period, after the pipeline drained. Warm long-lived state —
-//!   caches, branch predictor — carries across the gaps, while no stale
-//!   in-flight pipeline state can leak into the measurement (the skipped
-//!   instructions were never simulated in detail).
+//! * One core runs the whole job. At the end of every measured window it
+//!   drains its pipeline, then carries its warm long-lived state — caches,
+//!   branch predictor, statistics — straight across the fast-forward gap,
+//!   while no stale in-flight pipeline state can leak into the next
+//!   measurement (the skipped instructions were never simulated in detail).
+//!   Nothing is copied between periods: the architectural-state checkpoint
+//!   API ([`dkip_ooo::OooCore::snapshot`] /
+//!   [`dkip_core::DkipProcessor::snapshot`]) stays the tested way to fork a
+//!   core (`tests/checkpoint_roundtrip.rs`), but sampling does not need it.
 //! * The warmup instructions re-prime the pipeline and refresh the warm
 //!   state before measurement starts; they are simulated in detail but
 //!   excluded from the estimate.
@@ -57,7 +59,7 @@ use crate::workload::WorkloadStream;
 /// the two operations sampling needs: "run until N committed" and "what
 /// cycle is it". Baseline and KILO share the [`OooCore`] engine; the D-KIP
 /// has its own decoupled pipeline.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum SampleCore {
     /// Baseline or KILO configuration on the shared out-of-order engine.
     Ooo(Box<OooCore>),
@@ -66,8 +68,8 @@ enum SampleCore {
 }
 
 impl SampleCore {
-    /// Builds the pristine (reset) core for `machine` — the state the
-    /// first window's checkpoint starts from.
+    /// Builds the pristine (reset) core for `machine`, which then runs
+    /// every period of the job.
     fn build(machine: &Machine, mem_cfg: &MemoryHierarchyConfig) -> SampleCore {
         let mem = MemoryHierarchy::new(mem_cfg.clone()).expect("invalid memory configuration");
         match machine {
@@ -87,19 +89,11 @@ impl SampleCore {
     }
 
     /// Commits everything still in flight by running against an exhausted
-    /// stream. A drained pipeline is the precondition for snapshotting
-    /// between periods: the ops after the fast-forward gap carry
-    /// discontinuous sequence numbers, which an empty ROB accepts.
+    /// stream. A drained pipeline is the precondition for skipping ahead:
+    /// the ops after the fast-forward gap carry discontinuous sequence
+    /// numbers, which an empty ROB accepts.
     fn drain(&mut self) -> SimStats {
         self.run(&mut std::iter::empty(), u64::MAX)
-    }
-
-    /// Captures the family-matching architectural checkpoint.
-    fn checkpoint(&self) -> SampleCheckpoint {
-        match self {
-            SampleCore::Ooo(core) => SampleCheckpoint::Ooo(Box::new(core.snapshot())),
-            SampleCore::Dkip(proc_) => SampleCheckpoint::Dkip(Box::new(proc_.snapshot())),
-        }
     }
 
     /// The core's current cycle count.
@@ -115,32 +109,6 @@ impl SampleCore {
         match self {
             SampleCore::Ooo(core) => core.warm_op(op),
             SampleCore::Dkip(proc_) => proc_.warm_op(op),
-        }
-    }
-}
-
-/// A family-tagged core checkpoint ([`dkip_ooo::CoreSnapshot`] or
-/// [`dkip_core::DkipSnapshot`]) carried across the fast-forward gaps.
-///
-/// Each detailed window materialises a fresh core from the previous
-/// window's end-of-window checkpoint, so warm microarchitectural state —
-/// caches, branch predictor, statistics — persists across the gaps while
-/// the pipeline itself restarts empty (the skipped instructions were never
-/// simulated, so no stale in-flight state may leak into the measurement).
-#[derive(Debug)]
-enum SampleCheckpoint {
-    /// Checkpoint of a baseline or KILO core.
-    Ooo(Box<dkip_ooo::CoreSnapshot>),
-    /// Checkpoint of a D-KIP processor.
-    Dkip(Box<dkip_core::DkipSnapshot>),
-}
-
-impl SampleCheckpoint {
-    /// Materialises an independent core continuing from this checkpoint.
-    fn materialize(&self) -> SampleCore {
-        match self {
-            SampleCheckpoint::Ooo(snapshot) => SampleCore::Ooo(Box::new(snapshot.to_core())),
-            SampleCheckpoint::Dkip(snapshot) => SampleCore::Dkip(Box::new(snapshot.to_processor())),
         }
     }
 }
@@ -241,15 +209,14 @@ pub fn run_sampled(
     sample: &SampleConfig,
 ) -> SampledRun {
     sample.validate().expect("invalid sampling rate");
-    let mut checkpoint = SampleCore::build(machine, mem_cfg).checkpoint();
+    let mut core = SampleCore::build(machine, mem_cfg);
     let mut estimator = SampleEstimator::new();
     let mut counted = CountedStream {
         inner: stream,
         taken: 0,
     };
-    // Committed instructions carried in the checkpoint chain so far: the
-    // cores' run() bound is cumulative, so each segment's target is
-    // expressed on top of this.
+    // Committed instructions of the earlier periods: the core's run() bound
+    // is cumulative, so each segment's target is expressed on top of this.
     let mut committed_base = 0u64;
     let mut fast_forwarded = 0u64;
     loop {
@@ -257,11 +224,9 @@ pub fn run_sampled(
         if consumed >= budget {
             break;
         }
-        // Detailed portion: a fresh core materialised from the previous
-        // window's end-of-window checkpoint (warm caches, predictor and
+        // Detailed portion: the drained core (warm caches, predictor and
         // statistics; empty pipeline) runs the warmup, then the measured
         // window, on the live stream.
-        let mut core = checkpoint.materialize();
         let warm_committed = if sample.warmup > 0 {
             core.run(&mut counted, committed_base + sample.warmup)
                 .committed
@@ -294,8 +259,7 @@ pub fn run_sampled(
         }
         // Fast-forward portion: advance the stream to the next period,
         // functionally warming the drained core's caches and predictor
-        // with every skipped op, then roll the checkpoint forward so the
-        // next window inherits the warmed state.
+        // with every skipped op; the next window continues on this core.
         let want = sample.skip().min(budget - consumed);
         let mut skipped = 0u64;
         while skipped < want {
@@ -306,7 +270,6 @@ pub fn run_sampled(
             skipped += 1;
         }
         fast_forwarded += skipped;
-        checkpoint = core.checkpoint();
         if skipped < want {
             break; // finite stream exhausted inside the gap
         }
@@ -403,8 +366,7 @@ mod tests {
     #[test]
     fn whole_period_windows_degenerate_to_exact_simulation() {
         // window == period with no warmup and no gap: every instruction is
-        // simulated in detail, though each period restarts from the pristine
-        // checkpoint.
+        // simulated in detail on the one core.
         let mem = MemoryHierarchyConfig::mem_400();
         let sample = SampleConfig::parse("10000:0:10000").unwrap();
         let machine = Machine::Baseline(BaselineConfig::r10_64());
