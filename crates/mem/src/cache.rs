@@ -2,18 +2,16 @@
 
 use dkip_model::ConfigError;
 
-/// One cache line: the tag of the block it holds plus an LRU timestamp.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Line {
-    tag: u64,
-    last_use: u64,
-    dirty: bool,
-}
-
 /// A set-associative, write-allocate cache with true-LRU replacement.
 ///
 /// The cache only models *presence* (hit/miss); data values are never
 /// stored because the simulator is timing-only.
+///
+/// The tag store is two flat arrays in set-major order (way `w` of set `s`
+/// at index `s * assoc + w`): the block tag of every way, and its LRU
+/// timestamp, where a timestamp of `0` marks an invalid way. Sets are
+/// indexed with a mask and a shift when the set count is a power of two,
+/// and with `%` and `/` otherwise.
 ///
 /// # Example
 ///
@@ -27,10 +25,17 @@ struct Line {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
-    sets: Vec<Vec<Option<Line>>>,
+    /// Block tag held by every way (meaningful only while the way is valid).
+    tags: Vec<u64>,
+    /// Access tick of every way's last use; `0` marks an invalid way, which
+    /// also makes it the first LRU victim.
+    last_use: Vec<u64>,
     num_sets: usize,
     assoc: usize,
     line_shift: u32,
+    /// `log2(num_sets)` when the set count is a power of two (mask-and-shift
+    /// indexing), `None` otherwise.
+    set_bits: Option<u32>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -63,59 +68,56 @@ impl SetAssocCache {
         }
         let num_sets = size_bytes / (line_size * assoc);
         Ok(SetAssocCache {
-            sets: vec![vec![None; assoc]; num_sets],
+            tags: vec![0; num_sets * assoc],
+            last_use: vec![0; num_sets * assoc],
             num_sets,
             assoc,
             line_shift: line_size.trailing_zeros(),
+            set_bits: num_sets
+                .is_power_of_two()
+                .then(|| num_sets.trailing_zeros()),
             tick: 0,
             hits: 0,
             misses: 0,
         })
     }
 
+    /// The index of `addr`'s set's first way, and the block's tag.
+    #[inline]
     fn set_and_tag(&self, addr: u64) -> (usize, u64) {
         let block = addr >> self.line_shift;
-        let set = (block as usize) % self.num_sets;
-        let tag = block / self.num_sets as u64;
-        (set, tag)
+        let (set, tag) = match self.set_bits {
+            Some(bits) => (block & ((1 << bits) - 1), block >> bits),
+            None => (block % self.num_sets as u64, block / self.num_sets as u64),
+        };
+        (set as usize * self.assoc, tag)
     }
 
     /// Accesses `addr`; returns `true` on a hit. On a miss the block is
-    /// allocated (write-allocate for stores), evicting the LRU line.
-    pub fn access(&mut self, addr: u64, is_write: bool) -> bool {
+    /// allocated (write-allocate for stores), replacing the first invalid
+    /// way, or else the LRU way. Loads and stores update the tag store
+    /// alike: with no data modelled there is no dirty state to track.
+    pub fn access(&mut self, addr: u64, _is_write: bool) -> bool {
         self.tick += 1;
-        let (set_idx, tag) = self.set_and_tag(addr);
-        let set = &mut self.sets[set_idx];
-        for line in set.iter_mut().flatten() {
-            if line.tag == tag {
-                line.last_use = self.tick;
-                line.dirty |= is_write;
+        let (base, tag) = self.set_and_tag(addr);
+        let tags = &mut self.tags[base..base + self.assoc];
+        let last_use = &mut self.last_use[base..base + self.assoc];
+        // One pass finds a hit or, failing that, the victim: the first way
+        // with the smallest timestamp (invalid ways, at 0, come first).
+        let mut victim = 0;
+        for way in 0..tags.len() {
+            if last_use[way] != 0 && tags[way] == tag {
+                last_use[way] = self.tick;
                 self.hits += 1;
                 return true;
             }
+            if last_use[way] < last_use[victim] {
+                victim = way;
+            }
         }
         self.misses += 1;
-        // Allocate: prefer an invalid way, otherwise evict the LRU way.
-        let victim = match set.iter().position(Option::is_none) {
-            Some(idx) => idx,
-            None => {
-                let mut lru_idx = 0;
-                let mut lru_use = u64::MAX;
-                for (idx, line) in set.iter().enumerate() {
-                    let last = line.expect("set is full").last_use;
-                    if last < lru_use {
-                        lru_use = last;
-                        lru_idx = idx;
-                    }
-                }
-                lru_idx
-            }
-        };
-        set[victim] = Some(Line {
-            tag,
-            last_use: self.tick,
-            dirty: is_write,
-        });
+        tags[victim] = tag;
+        last_use[victim] = self.tick;
         false
     }
 
@@ -123,20 +125,17 @@ impl SetAssocCache {
     /// state or statistics.
     #[must_use]
     pub fn contains(&self, addr: u64) -> bool {
-        let (set_idx, tag) = self.set_and_tag(addr);
-        self.sets[set_idx]
+        let (base, tag) = self.set_and_tag(addr);
+        let ways = base..base + self.assoc;
+        self.tags[ways.clone()]
             .iter()
-            .flatten()
-            .any(|line| line.tag == tag)
+            .zip(&self.last_use[ways])
+            .any(|(&way_tag, &used)| used != 0 && way_tag == tag)
     }
 
     /// Invalidates every line in the cache (used between benchmark runs).
     pub fn invalidate_all(&mut self) {
-        for set in &mut self.sets {
-            for line in set.iter_mut() {
-                *line = None;
-            }
-        }
+        self.last_use.fill(0);
     }
 
     /// Number of sets.
@@ -190,6 +189,129 @@ impl SetAssocCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The straightforward nested-`Vec` LRU cache the flat tag arrays
+    /// replaced, kept as the reference model: one `Vec` of optional lines
+    /// per set, `%`/`/` set indexing, and a victim search that prefers the
+    /// first invalid way over the least recently used one.
+    struct ReferenceCache {
+        /// `Some((tag, last_use))` per valid way.
+        sets: Vec<Vec<Option<(u64, u64)>>>,
+        line_shift: u32,
+        tick: u64,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl ReferenceCache {
+        fn new(num_sets: usize, assoc: usize, line_size: usize) -> Self {
+            ReferenceCache {
+                sets: vec![vec![None; assoc]; num_sets],
+                line_shift: line_size.trailing_zeros(),
+                tick: 0,
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        fn set_and_tag(&self, addr: u64) -> (usize, u64) {
+            let block = addr >> self.line_shift;
+            let num_sets = self.sets.len() as u64;
+            ((block % num_sets) as usize, block / num_sets)
+        }
+
+        fn access(&mut self, addr: u64) -> bool {
+            self.tick += 1;
+            let (set_idx, tag) = self.set_and_tag(addr);
+            let set = &mut self.sets[set_idx];
+            for line in set.iter_mut().flatten() {
+                if line.0 == tag {
+                    line.1 = self.tick;
+                    self.hits += 1;
+                    return true;
+                }
+            }
+            self.misses += 1;
+            let victim = match set.iter().position(Option::is_none) {
+                Some(idx) => idx,
+                None => {
+                    let mut lru_idx = 0;
+                    let mut lru_use = u64::MAX;
+                    for (idx, line) in set.iter().enumerate() {
+                        let last = line.expect("set is full").1;
+                        if last < lru_use {
+                            lru_use = last;
+                            lru_idx = idx;
+                        }
+                    }
+                    lru_idx
+                }
+            };
+            set[victim] = Some((tag, self.tick));
+            false
+        }
+
+        fn contains(&self, addr: u64) -> bool {
+            let (set_idx, tag) = self.set_and_tag(addr);
+            self.sets[set_idx]
+                .iter()
+                .flatten()
+                .any(|line| line.0 == tag)
+        }
+
+        fn invalidate_all(&mut self) {
+            for set in &mut self.sets {
+                set.fill(None);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The flat cache is observationally identical to the reference
+        /// model on any geometry — power-of-two set counts (mask-and-shift
+        /// indexing) and others such as 3 or 6 sets (`%`/`/`) — and any
+        /// read/write stream, across an `invalidate_all` halfway through:
+        /// the same hit/miss per access, the same counters, and the same
+        /// resident lines.
+        #[test]
+        fn flat_cache_matches_the_reference_model(
+            num_sets in 1usize..17,
+            assoc in 1usize..9,
+            line_shift in 4u32..8,
+            stream in proptest::collection::vec((0u64..(1 << 14), 0u64..4, any::<bool>()), 1..400),
+        ) {
+            let line_size = 1usize << line_shift;
+            let mut flat = SetAssocCache::new(num_sets * assoc * line_size, assoc, line_size).unwrap();
+            let mut reference = ReferenceCache::new(num_sets, assoc, line_size);
+            prop_assert_eq!(flat.num_sets(), num_sets);
+            // A few far-apart regions exercise wide tags as well as conflicts.
+            let addrs: Vec<(u64, bool)> = stream
+                .iter()
+                .map(|&(offset, region, is_write)| ((region << 36) | offset, is_write))
+                .collect();
+            for (i, &(addr, is_write)) in addrs.iter().enumerate() {
+                if i == addrs.len() / 2 {
+                    flat.invalidate_all();
+                    reference.invalidate_all();
+                }
+                prop_assert_eq!(
+                    flat.access(addr, is_write),
+                    reference.access(addr),
+                    "access {} to {:#x} diverged", i, addr
+                );
+            }
+            prop_assert_eq!(flat.hits(), reference.hits);
+            prop_assert_eq!(flat.misses(), reference.misses);
+            for &(addr, _) in &addrs {
+                prop_assert_eq!(flat.contains(addr), reference.contains(addr), "{:#x}", addr);
+                let neighbour = addr ^ (1 << 20);
+                prop_assert_eq!(flat.contains(neighbour), reference.contains(neighbour));
+            }
+        }
+    }
 
     #[test]
     fn construction_validates_parameters() {

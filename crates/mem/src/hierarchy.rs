@@ -14,9 +14,9 @@
 use crate::cache::SetAssocCache;
 use dkip_model::config::MemoryHierarchyConfig;
 use dkip_model::telemetry::MetricsFrame;
-use dkip_model::ConfigError;
+use dkip_model::{ConfigError, FastHashMap};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// The level of the hierarchy that serviced an access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -97,9 +97,13 @@ pub struct MemoryHierarchy {
     config: MemoryHierarchyConfig,
     l1: Option<SetAssocCache>,
     l2: Option<SetAssocCache>,
-    /// Outstanding misses: line address → cycle at which the fill completes.
-    outstanding: HashMap<u64, u64>,
-    /// Min-heap twin of `outstanding`: `(completion cycle, line address)`.
+    /// Outstanding misses: line number → cycle at which the fill completes.
+    /// Only ever probed, inserted into and removed from, never iterated.
+    /// Keyed by line number (address / line size) rather than line address:
+    /// the multiplicative `FastHasher` keeps a key's zero low bits, and
+    /// line addresses would all land in every 64th bucket.
+    outstanding: FastHashMap<u64, u64>,
+    /// Min-heap twin of `outstanding`: `(completion cycle, line number)`.
     /// Every map entry has exactly one heap entry and vice versa (the two
     /// are only ever mutated together), so the earliest in-flight fill is an
     /// O(1) peek and expiring completed fills is O(log n) amortised instead
@@ -130,7 +134,7 @@ impl MemoryHierarchy {
             config,
             l1,
             l2,
-            outstanding: HashMap::new(),
+            outstanding: FastHashMap::default(),
             fill_queue: BinaryHeap::new(),
             stats: MemStats::default(),
         })
@@ -148,8 +152,8 @@ impl MemoryHierarchy {
         self.stats
     }
 
-    fn line_addr(&self, addr: u64) -> u64 {
-        addr & !(self.config.line_size as u64 - 1)
+    fn line_number(&self, addr: u64) -> u64 {
+        addr >> self.config.line_size.trailing_zeros()
     }
 
     /// Performs a timing access for `addr` at cycle `now`.
@@ -159,7 +163,7 @@ impl MemoryHierarchy {
     /// outstanding-miss entry so that subsequent accesses to the same line
     /// before the fill completes are merged.
     pub fn access(&mut self, addr: u64, is_write: bool, now: u64) -> AccessOutcome {
-        let line = self.line_addr(addr);
+        let line = self.line_number(addr);
         self.expire_fills(now);
 
         // Merge with an outstanding miss for the same line if it has not
