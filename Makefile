@@ -186,13 +186,19 @@ chaos-check: build
 		cargo test -q --release -p dkip --test golden_stats --test corpus_replay
 	@echo "chaos-check: faults isolate, degrade caching not correctness, and heal green"
 
-## Sampled-simulation gates: checkpoint round-trips must be bit-identical
-## and the sampled IPC estimator must stay inside its error bands (3%
+## Sampled-simulation gates: checkpoint round-trips must be bit-identical,
+## the sampled IPC estimator must stay inside its error bands (3%
 ## suite-mean, 10% per-job) against exact simulation on all four golden
-## matrices. Release mode: the accuracy suite simulates ~100k-1M
-## instructions per job twice. Mirrored by the CI sample-check job.
+## matrices, and the sampled results must match tests/golden/sampled.golden
+## bit for bit. The dkip-mem and dkip-core unit tests ride along: the
+## flat cache against its reference model, and the bounded D-KIP wakeup
+## table that keeps sampled runs cheap. Release mode: the accuracy suite
+## simulates ~100k-1M instructions per job twice. Mirrored by the CI
+## sample-check job.
 sample-check:
 	cargo test -q --release -p dkip --test checkpoint_roundtrip --test sampled_accuracy
+	cargo test -q --release -p dkip --test golden_stats golden_sampled_suites
+	cargo test -q --release -p dkip-mem -p dkip-core
 
 ## Differential-fuzz smoke: 200 random RV64IM programs through the emulator
 ## oracle and all three core families, plus the checked-in corpus replay.

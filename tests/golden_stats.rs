@@ -83,7 +83,12 @@ fn golden_sampled_suites() {
     // (`suites::golden_sampled_suites`). `sampled_accuracy` only holds these
     // estimates to error bands; this pins them bit for bit, so a change to
     // the sampling driver or the warming path that should be invisible is.
-    check_family("sampled.golden", &suites::golden_sampled_jobs());
+    // The runner's thread-count invariance is already pinned by the exact
+    // suites above, so one sweep suffices.
+    let actual = results_to_kv(&SweepRunner::from_env().run(&suites::golden_sampled_jobs()));
+    if let Err(err) = golden::check(&golden_path("sampled.golden"), &actual) {
+        panic!("{err}");
+    }
 }
 
 /// The golden files themselves must carry real data: every job section has
