@@ -86,13 +86,14 @@ pub const DEFAULT_TOLERANCE: f64 = 0.30;
 pub const PERF_SAMPLE_RATE: &str = "20000:1000:1000";
 
 /// Minimum MIPS ratio each sampled D-KIP row must achieve over its exact
-/// twin. Five runs of `perf budget=40000 samples=5` on a 2-vCPU host
-/// measured 4.8–7.6× at [`PERF_SAMPLE_RATE`] (lowest: 4.82×, dkip/swim);
-/// the floor is about 80% of the lowest, which leaves headroom for host
-/// noise while still catching the sampled path degrading into
+/// twin. Five runs of `perf budget=40000 samples=5` on a shared 2-vCPU
+/// host measured 4.06–7.95× at [`PERF_SAMPLE_RATE`] (lowest: dkip/swim),
+/// and runs on the same host under heavy load read down to 3.57×; the
+/// floor is about 80% of the five-run lowest. That leaves headroom for
+/// host noise while still catching the sampled path degrading into
 /// detailed-simulation cost, such as a core whose per-period copies grow
 /// with the run.
-pub const SAMPLED_SPEEDUP_FLOOR: f64 = 3.8;
+pub const SAMPLED_SPEEDUP_FLOOR: f64 = 3.2;
 
 /// Tolerated slowdown of the *calibrated* overall best-sample geomean for
 /// the `telemetry_overhead=` gate: the disabled-probe hot path (every perf

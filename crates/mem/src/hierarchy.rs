@@ -100,8 +100,8 @@ pub struct MemoryHierarchy {
     /// Outstanding misses: line number → cycle at which the fill completes.
     /// Only ever probed, inserted into and removed from, never iterated.
     /// Keyed by line number (address / line size) rather than line address:
-    /// the multiplicative `FastHasher` keeps a key's zero low bits, and
-    /// line addresses would all land in every 64th bucket.
+    /// the multiplicative `FastHasher` keeps a key's zero low bits, so line
+    /// addresses (multiples of the line size) would use one bucket in 64.
     outstanding: FastHashMap<u64, u64>,
     /// Min-heap twin of `outstanding`: `(completion cycle, line number)`.
     /// Every map entry has exactly one heap entry and vice versa (the two

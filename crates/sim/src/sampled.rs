@@ -167,9 +167,9 @@ impl SampledRun {
 ///
 /// A core prefetches past its commit bound, so at the end of a detailed
 /// portion the stream has advanced further than the committed count — by
-/// the in-flight instructions the dropped core still held. Coverage
-/// accounting must follow the *stream* position, not the commit count, or
-/// a finite workload would appear to end short.
+/// the instructions still in flight in the core. Coverage accounting must
+/// follow the *stream* position, not the commit count, or a finite
+/// workload would appear to end short.
 struct CountedStream<'a> {
     inner: &'a mut WorkloadStream,
     taken: u64,

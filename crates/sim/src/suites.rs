@@ -214,10 +214,6 @@ fn scaled_riscv_jobs() -> Vec<Job> {
 ///
 /// `tests/sampled_accuracy.rs` holds these estimates to error bands against
 /// their exact twins; `tests/golden/sampled.golden` pins them bit for bit.
-///
-/// # Panics
-///
-/// Never: the rates are valid literals.
 #[must_use]
 pub fn golden_sampled_suites() -> Vec<(&'static str, Vec<Job>)> {
     let sampled = |jobs: Vec<Job>, budget: Option<u64>, rate: &str| -> Vec<Job> {
