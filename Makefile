@@ -192,13 +192,19 @@ chaos-check: build
 ## matrices, and the sampled results must match tests/golden/sampled.golden
 ## bit for bit. The dkip-mem and dkip-core unit tests ride along: the
 ## flat cache against its reference model, and the bounded D-KIP wakeup
-## table that keeps sampled runs cheap. Release mode: the accuracy suite
-## simulates ~100k-1M instructions per job twice. Mirrored by the CI
-## sample-check job.
+## table that keeps sampled runs cheap. So do the functional-warming
+## checks: the dkip-bpred, dkip-riscv and dkip-trace unit tests (one-pass
+## perceptron training equals predict+update; warm_forward reports what
+## the skipped ops carry) and the dkip-sim test that warming from the
+## source matches the per-op reference loop on every golden sampled job.
+## Release mode: the accuracy suite simulates ~100k-1M instructions per
+## job twice. Mirrored by the CI sample-check job.
 sample-check:
 	cargo test -q --release -p dkip --test checkpoint_roundtrip --test sampled_accuracy
 	cargo test -q --release -p dkip --test golden_stats golden_sampled_suites
 	cargo test -q --release -p dkip-mem -p dkip-core
+	cargo test -q --release -p dkip-bpred -p dkip-riscv -p dkip-trace
+	cargo test -q --release -p dkip-sim --lib warming_from_the_source
 
 ## Differential-fuzz smoke: 200 random RV64IM programs through the emulator
 ## oracle and all three core families, plus the checked-in corpus replay.

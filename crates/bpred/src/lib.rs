@@ -73,6 +73,17 @@ pub trait BranchPredictor: std::fmt::Debug {
     /// [`predict`](Self::predict) call.
     fn update(&mut self, pc: u64, taken: bool, predicted: bool);
 
+    /// Trains the predictor with a branch that is not being simulated in
+    /// detail: the in-order [`predict`](Self::predict) +
+    /// [`update`](Self::update) pair, as one call. Functional warming
+    /// (sampled simulation's fast-forward) trains through this; a
+    /// predictor may override it with a cheaper path that leaves exactly
+    /// the same state.
+    fn warm(&mut self, pc: u64, taken: bool) {
+        let predicted = self.predict(pc);
+        self.update(pc, taken, predicted);
+    }
+
     /// Number of predictions made so far.
     fn predictions(&self) -> u64;
 

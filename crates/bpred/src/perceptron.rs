@@ -109,6 +109,21 @@ impl PerceptronPredictor {
         y
     }
 
+    /// Moves the weights of `pc`'s perceptron towards `taken`, against
+    /// `seen_history`. Forced inline: with two callers the inliner would
+    /// otherwise outline it from `update`, the detailed path.
+    #[inline(always)]
+    fn train(&mut self, pc: u64, taken: bool, seen_history: u64) {
+        let idx = self.index(pc);
+        let t = if taken { 1 } else { -1 };
+        let perceptron = self.row_mut(idx);
+        Self::saturating_adjust(&mut perceptron[0], t);
+        for (bit, weight) in perceptron[1..].iter_mut().enumerate() {
+            let h = ((seen_history >> bit) & 1) as i32 * 2 - 1;
+            Self::saturating_adjust(weight, t * h);
+        }
+    }
+
     fn saturating_adjust(weight: &mut i32, direction: i32) {
         *weight = (*weight + direction).clamp(Self::WEIGHT_MIN, Self::WEIGHT_MAX);
     }
@@ -154,16 +169,32 @@ impl BranchPredictor for PerceptronPredictor {
         }
         let y = self.last_outputs.remove(&pc).unwrap_or(0);
         if taken != predicted || y.abs() <= self.threshold {
-            let idx = self.index(pc);
-            let t = if taken { 1 } else { -1 };
             // Reconstruct the history the prediction saw (one bit older).
-            let seen_history = self.history >> 1;
-            let perceptron = self.row_mut(idx);
-            Self::saturating_adjust(&mut perceptron[0], t);
-            for (bit, weight) in perceptron[1..].iter_mut().enumerate() {
-                let h = ((seen_history >> bit) & 1) as i32 * 2 - 1;
-                Self::saturating_adjust(weight, t * h);
-            }
+            self.train(pc, taken, self.history >> 1);
+        }
+    }
+
+    /// One pass instead of `predict` + `update`: the same dot product,
+    /// counters, history and training, without parking the output in
+    /// `last_outputs` only to take it straight back out.
+    fn warm(&mut self, pc: u64, taken: bool) {
+        self.stats.predictions += 1;
+        let y = self.output(pc);
+        let predicted = y >= 0;
+        if taken != predicted {
+            self.stats.mispredictions += 1;
+        }
+        // `predict` would overwrite a pending output for this pc and
+        // `update` would then remove it.
+        if !self.last_outputs.is_empty() {
+            self.last_outputs.remove(&pc);
+        }
+        self.history = (self.history << 1) | u64::from(taken);
+        if taken != predicted || y.abs() <= self.threshold {
+            // The history `update` would train against: shifted in, then
+            // back out, which drops the oldest bit (it matters when
+            // `history_len` is 64).
+            self.train(pc, taken, self.history >> 1);
         }
     }
 
@@ -179,6 +210,7 @@ impl BranchPredictor for PerceptronPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn threshold_follows_the_published_formula() {
@@ -272,5 +304,42 @@ mod tests {
         let p = PerceptronPredictor::new(100, 8);
         assert_eq!(p.table_size, 128);
         assert_eq!(p.weights.len(), 128 * 9, "flat row-major weight table");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `warm` leaves exactly the state `predict` + `update` leaves, on
+        /// any table size (aliasing rows included), any history length up
+        /// to the full 64 bits, and with a prediction for one of the pcs
+        /// still pending when the warmed branches arrive.
+        #[test]
+        fn warm_matches_predict_then_update(
+            table_size in 1usize..300,
+            history_len in (0u32..4, 1usize..65).prop_map(|(pick, h)| if pick == 0 { 64 } else { h }),
+            branches in proptest::collection::vec((0u64..48, any::<bool>()), 1..400),
+            pending in (0usize..400, 0u64..48),
+        ) {
+            let pc = |slot: u64| 0x1000 + slot * 4;
+            let mut warmed = PerceptronPredictor::new(table_size, history_len);
+            let mut paired = warmed.clone();
+            let (pending_at, pending_slot) = pending;
+            for (i, &(slot, taken)) in branches.iter().enumerate() {
+                if i == pending_at % branches.len() {
+                    prop_assert_eq!(warmed.predict(pc(pending_slot)), paired.predict(pc(pending_slot)));
+                }
+                warmed.warm(pc(slot), taken);
+                let predicted = paired.predict(pc(slot));
+                paired.update(pc(slot), taken, predicted);
+            }
+            prop_assert_eq!(warmed.predictions(), paired.predictions());
+            prop_assert_eq!(warmed.mispredictions(), paired.mispredictions());
+            prop_assert_eq!(warmed.history, paired.history);
+            prop_assert_eq!(&warmed.weights, &paired.weights);
+            prop_assert_eq!(&warmed.last_outputs, &paired.last_outputs);
+            for slot in 0..48 {
+                prop_assert_eq!(warmed.predict(pc(slot)), paired.predict(pc(slot)), "next prediction at slot {}", slot);
+            }
+        }
     }
 }

@@ -28,7 +28,7 @@ use dkip_model::config::{event_clock_enabled, DkipConfig, MemoryHierarchyConfig}
 use dkip_model::telemetry::{MetricsFrame, Stage, Telemetry};
 use dkip_model::{
     fast_map_with_capacity, fast_set_with_capacity, ConsumerTable, DepList, FastHashMap,
-    FastHashSet, LastWriters, MicroOp, OpClass, RegClass, SimStats,
+    FastHashSet, LastWriters, MicroOp, OpClass, RegClass, SimStats, WarmSink,
 };
 use dkip_ooo::lsq::FORWARD_LATENCY;
 use dkip_ooo::{FunctionalUnits, IssueQueue, Rob, RobEntry};
@@ -257,21 +257,11 @@ impl DkipProcessor {
     }
 
     /// Functionally warms the long-lived microarchitectural state with one
-    /// instruction that is *not* being simulated in detail: memory ops
-    /// install/promote their line in the Address Processor's hierarchy
-    /// (timing-free) and conditional branches train the direction predictor
-    /// with the in-order predict/update pair the Cache Processor would
-    /// apply. Used by the sampled-simulation mode for every fast-forwarded
-    /// instruction; pipeline, clock and committed counters are untouched.
+    /// instruction that is *not* being simulated in detail; see the
+    /// [`WarmSink`] impl, which the sampled-simulation mode drives straight
+    /// from the instruction source without building micro-ops.
     pub fn warm_op(&mut self, op: &MicroOp) {
-        if let Some(addr) = op.mem_addr {
-            self.ap.warm_access(addr, op.is_store());
-        }
-        if op.is_conditional_branch() {
-            let taken = op.branch.expect("conditional branch").taken;
-            let predicted = self.predictor.predict(op.pc);
-            self.predictor.update(op.pc, taken, predicted);
-        }
+        WarmSink::warm_op(self, op);
     }
 
     /// Runs until `max_instrs` instructions have committed, the trace ends
@@ -1153,6 +1143,24 @@ impl DkipProcessor {
             fetched = true;
         }
         fetched
+    }
+}
+
+/// Functional warming of the long-lived microarchitectural state with
+/// instructions that are *not* simulated in detail: memory accesses
+/// install/promote their line in the Address Processor's hierarchy
+/// (timing-free) and conditional branches train the direction predictor as
+/// the Cache Processor's in-order predict/update pair would
+/// ([`BranchPredictor::warm`]). Used by the sampled-simulation mode for
+/// every fast-forwarded instruction; pipeline, clock and committed counters
+/// are untouched.
+impl WarmSink for DkipProcessor {
+    fn warm_mem(&mut self, addr: u64, is_write: bool) {
+        self.ap.warm_access(addr, is_write);
+    }
+
+    fn warm_branch(&mut self, pc: u64, taken: bool) {
+        self.predictor.warm(pc, taken);
     }
 }
 

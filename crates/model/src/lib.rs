@@ -18,6 +18,9 @@
 //! * [`telemetry`] — the optional intra-run probe sink (interval
 //!   time-series metrics and Konata/O3PipeView pipeline traces) the cores
 //!   drive from inside their cycle loops,
+//! * [`warm`] — the [`warm::WarmSink`] through which instruction sources
+//!   report skipped instructions' memory accesses and branch outcomes to
+//!   a functionally warmed core,
 //! * [`error`] — configuration validation errors.
 //!
 //! # Example
@@ -43,6 +46,7 @@ pub mod op;
 pub mod reg;
 pub mod stats;
 pub mod telemetry;
+pub mod warm;
 
 pub use collections::{
     fast_map_with_capacity, fast_set_with_capacity, ConsumerTable, DepList, FastHashMap,
@@ -60,3 +64,4 @@ pub use op::{FuPool, OpClass};
 pub use reg::{ArchReg, PhysReg, RegClass, FP_ARCH_REGS, INT_ARCH_REGS, TOTAL_ARCH_REGS};
 pub use stats::{Histogram, IpcEstimate, SampleEstimator, SimStats, WindowSample};
 pub use telemetry::{MetricsConfig, MetricsFrame, Stage, Telemetry, TraceConfig, METRICS_ENV};
+pub use warm::{WarmLog, WarmSink};

@@ -24,7 +24,7 @@ use dkip_model::config::{
 use dkip_model::telemetry::{MetricsFrame, Stage, Telemetry};
 use dkip_model::{
     fast_set_with_capacity, ConsumerTable, DepList, FastHashSet, Histogram, LastWriters, MicroOp,
-    OpClass, RegClass, SimStats,
+    OpClass, RegClass, SimStats, WarmSink,
 };
 use dkip_trace::{Benchmark, TraceGenerator};
 use std::cmp::Reverse;
@@ -249,25 +249,11 @@ impl OooCore {
     }
 
     /// Functionally warms the long-lived microarchitectural state with one
-    /// instruction that is *not* being simulated in detail: memory ops
-    /// install/promote their line in the cache hierarchy (timing-free, see
-    /// [`MemoryHierarchy::warm_access`]) and conditional branches train the
-    /// direction predictor with the in-order predict/update pair the
-    /// pipeline itself would apply.
-    ///
-    /// The sampled-simulation mode calls this for every fast-forwarded
-    /// instruction so detailed windows measure against cache and predictor
-    /// contents that track the exact run, without modelling any timing. The
-    /// pipeline, clock and committed counters are untouched.
+    /// instruction that is *not* being simulated in detail; see the
+    /// [`WarmSink`] impl, which the sampled-simulation mode drives straight
+    /// from the instruction source without building micro-ops.
     pub fn warm_op(&mut self, op: &MicroOp) {
-        if let Some(addr) = op.mem_addr {
-            self.mem.warm_access(addr, op.is_store());
-        }
-        if op.is_conditional_branch() {
-            let taken = op.branch.expect("conditional branch").taken;
-            let predicted = self.predictor.predict(op.pc);
-            self.predictor.update(op.pc, taken, predicted);
-        }
+        WarmSink::warm_op(self, op);
     }
 
     /// Runs the core until `max_instrs` instructions have committed, the
@@ -826,6 +812,27 @@ impl OooCore {
             fetched = true;
         }
         fetched
+    }
+}
+
+/// Functional warming of the long-lived microarchitectural state with
+/// instructions that are *not* simulated in detail: memory accesses
+/// install/promote their line in the cache hierarchy (timing-free, see
+/// [`MemoryHierarchy::warm_access`]) and conditional branches train the
+/// direction predictor as the pipeline's in-order predict/update pair
+/// would ([`BranchPredictor::warm`]).
+///
+/// The sampled-simulation mode warms the drained core with every
+/// fast-forwarded instruction so detailed windows measure against cache
+/// and predictor contents that track the exact run, without modelling any
+/// timing. The pipeline, clock and committed counters are untouched.
+impl WarmSink for OooCore {
+    fn warm_mem(&mut self, addr: u64, is_write: bool) {
+        self.mem.warm_access(addr, is_write);
+    }
+
+    fn warm_branch(&mut self, pc: u64, taken: bool) {
+        self.predictor.warm(pc, taken);
     }
 }
 

@@ -25,7 +25,7 @@ use crate::emu::{Emulator, Retired};
 use crate::isa::{Inst, Reg};
 use crate::kernels::KernelRun;
 use dkip_model::instr::{BranchInfo, BranchKind};
-use dkip_model::{ArchReg, MicroOp, OpClass};
+use dkip_model::{ArchReg, MicroOp, OpClass, WarmSink};
 
 /// An execution-driven [`MicroOp`] stream over a RISC-V kernel.
 #[derive(Debug, Clone)]
@@ -59,20 +59,36 @@ impl RiscvStream {
 
     /// Functionally fast-forwards up to `n` instructions without cracking
     /// them into micro-ops, returning how many were actually skipped (fewer
-    /// only if the kernel halts first).
+    /// only if the kernel halts first): [`RiscvStream::warm_forward`] with
+    /// no sink.
+    pub fn fast_forward(&mut self, n: u64) -> u64 {
+        self.warm_forward(n, &mut ())
+    }
+
+    /// Functionally fast-forwards up to `n` instructions without cracking
+    /// them into micro-ops, reporting each one's load/store address and
+    /// conditional-branch outcome to `sink` in program order, and returns
+    /// how many were skipped (fewer only if the kernel halts first).
     ///
     /// The emulator executes every skipped instruction architecturally, so
     /// registers and memory are exactly as if the instructions had been
     /// consumed through [`Iterator::next`]; only the micro-op construction
-    /// is elided. Sequence numbers stay dense across the gap: the first
-    /// micro-op after a fast-forward carries `seq` as if the skipped
-    /// instructions had been emitted. This is the sampled-simulation mode's
-    /// cheap path between detailed windows.
-    pub fn fast_forward(&mut self, n: u64) -> u64 {
+    /// is elided, and `sink` sees exactly what [`WarmSink::warm_op`] on the
+    /// cracked ops would have reported. Sequence numbers stay dense across
+    /// the gap: the first micro-op after a fast-forward carries `seq` as if
+    /// the skipped instructions had been emitted. This is the
+    /// sampled-simulation mode's cheap path between detailed windows.
+    pub fn warm_forward<W: WarmSink>(&mut self, n: u64, sink: &mut W) -> u64 {
         let mut skipped = 0;
         while skipped < n {
-            if self.emu.step().is_none() {
+            let Some(retired) = self.emu.step() else {
                 break;
+            };
+            if let Some(addr) = retired.mem_addr {
+                sink.warm_mem(addr, matches!(retired.inst, Inst::Store { .. }));
+            }
+            if let Inst::Branch { .. } = retired.inst {
+                sink.warm_branch(retired.pc, retired.branch_taken());
             }
             skipped += 1;
         }
@@ -198,7 +214,7 @@ impl Iterator for RiscvStream {
 mod tests {
     use super::*;
     use crate::kernels::Kernel;
-    use dkip_model::RegClass;
+    use dkip_model::{RegClass, WarmLog};
 
     fn stream(kernel: Kernel) -> Vec<MicroOp> {
         RiscvStream::new(&kernel.default_run()).collect()
@@ -312,6 +328,59 @@ mod tests {
         let rest_a: Vec<_> = skipped.collect();
         let rest_b: Vec<_> = consumed.collect();
         assert_eq!(rest_a, rest_b, "post-skip streams must be bit-identical");
+    }
+
+    #[test]
+    fn warm_forward_reports_what_the_cracked_ops_carry() {
+        // Every kernel, over a gap that ends mid-run: the same (addr,
+        // is_write) and (pc, taken) sequence as warming the ops one by one,
+        // and the same emulator state and remaining stream afterwards.
+        for kernel in Kernel::ALL {
+            let run = kernel.default_run();
+            let mut warmed = RiscvStream::new(&run);
+            let mut consumed = RiscvStream::new(&run);
+            let mut got = WarmLog::default();
+            let mut want = WarmLog::default();
+            let n = 2_000;
+            assert_eq!(warmed.warm_forward(n, &mut got), n, "{}", kernel.name());
+            for op in consumed.by_ref().take(n as usize) {
+                want.warm_op(&op);
+            }
+            assert_eq!(got, want, "{}: warming events differ", kernel.name());
+            assert!(!got.branches.is_empty(), "{}", kernel.name());
+            assert_eq!(warmed.emulator().regs(), consumed.emulator().regs());
+            assert_eq!(warmed.emulator().pc(), consumed.emulator().pc());
+            let rest_a: Vec<_> = warmed.collect();
+            let rest_b: Vec<_> = consumed.collect();
+            assert_eq!(
+                rest_a,
+                rest_b,
+                "{}: post-warm streams differ",
+                kernel.name()
+            );
+        }
+    }
+
+    #[test]
+    fn warm_forward_reports_stores_and_stops_at_the_halt() {
+        let prog = crate::asm::assemble(
+            "addi x1, x0, 3\nloop: sd x1, 256(x0)\nld x2, 256(x0)\naddi x1, x1, -1\nbne x1, x0, loop\necall",
+            crate::emu::CODE_BASE,
+        )
+        .unwrap();
+        let mut s = RiscvStream::from_emulator(crate::emu::Emulator::new(&prog));
+        let mut log = WarmLog::default();
+        assert_eq!(
+            s.warm_forward(1_000, &mut log),
+            14,
+            "the program retires 14 instrs"
+        );
+        assert_eq!(log.mem, [(256, true), (256, false)].repeat(3));
+        let bne = crate::emu::CODE_BASE + 16;
+        assert_eq!(log.branches, vec![(bne, true), (bne, true), (bne, false)]);
+        assert!(s.next().is_none());
+        assert_eq!(s.warm_forward(10, &mut log), 0, "exhaustion is sticky");
+        assert_eq!(log.mem.len(), 6);
     }
 
     #[test]

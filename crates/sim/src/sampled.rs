@@ -29,15 +29,22 @@
 //! * The warmup instructions re-prime the pipeline and refresh the warm
 //!   state before measurement starts; they are simulated in detail but
 //!   excluded from the estimate.
-//! * The fast-forward portion performs SMARTS-style *functional warming*:
-//!   every skipped op is drawn through the ordinary stream iterator (so
-//!   the stream position stays bit-identical to detailed consumption and a
-//!   sampled run commits the exact same architectural state as an exact
-//!   run — the differential-fuzz oracle asserts this) and handed to the
-//!   drained core's `warm_op`, which installs memory lines in the cache
+//! * The fast-forward portion performs SMARTS-style *functional warming*
+//!   ([`WorkloadStream::warm_forward`]): the instruction source walks the
+//!   gap without building micro-ops — the RISC-V emulator executes each
+//!   skipped instruction, the synthetic generator advances its template
+//!   walk and RNG — and reports each skipped instruction's memory access
+//!   and conditional-branch outcome straight to the drained core, a
+//!   [`dkip_model::WarmSink`] that installs the line in the cache
 //!   hierarchy and trains the branch predictor without modelling timing.
-//!   Without this, miss-dominated workloads measure their windows against
-//!   fictitious cache contents and the estimate degrades catastrophically.
+//!   The stream position (sequence numbers included) stays bit-identical
+//!   to consuming the ops, so a sampled run commits the exact same
+//!   architectural state as an exact run (the differential-fuzz oracle
+//!   asserts this), and the warmed state is exactly what warming the
+//!   ops one by one with `warm_op` leaves (the equivalence tests below
+//!   pin both). Without warming, miss-dominated workloads measure their
+//!   windows against fictitious cache contents and the estimate degrades
+//!   catastrophically.
 //!
 //! The estimate itself is the ratio estimator over the per-window
 //! populations with a normal-approximation 95% confidence interval
@@ -104,17 +111,19 @@ impl SampleCore {
         }
     }
 
-    /// Functionally warms caches and predictor with one skipped op.
-    fn warm_op(&mut self, op: &MicroOp) {
+    /// Fast-forwards `stream` by up to `n` instructions, functionally
+    /// warming this core's caches and predictor with each one, and returns
+    /// how many were skipped (fewer only when a finite stream ends).
+    fn warm_forward(&mut self, stream: &mut WorkloadStream, n: u64) -> u64 {
         match self {
-            SampleCore::Ooo(core) => core.warm_op(op),
-            SampleCore::Dkip(proc_) => proc_.warm_op(op),
+            SampleCore::Ooo(core) => stream.warm_forward(n, core.as_mut()),
+            SampleCore::Dkip(proc_) => stream.warm_forward(n, proc_.as_mut()),
         }
     }
 }
 
 /// The outcome of one sampled simulation ([`run_sampled`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SampledRun {
     /// The sampling rate that was used.
     pub sample: SampleConfig,
@@ -208,6 +217,28 @@ pub fn run_sampled(
     budget: u64,
     sample: &SampleConfig,
 ) -> SampledRun {
+    run_periods(
+        machine,
+        mem_cfg,
+        stream,
+        budget,
+        sample,
+        SampleCore::warm_forward,
+    )
+    .0
+}
+
+/// The period loop of [`run_sampled`], with the fast-forward step `gap`
+/// (`SampleCore::warm_forward`, or a reference model in the tests) as a
+/// parameter. Also returns the core's statistics after its final drain.
+fn run_periods(
+    machine: &Machine,
+    mem_cfg: &MemoryHierarchyConfig,
+    stream: &mut WorkloadStream,
+    budget: u64,
+    sample: &SampleConfig,
+    mut gap: impl FnMut(&mut SampleCore, &mut WorkloadStream, u64) -> u64,
+) -> (SampledRun, SimStats) {
     sample.validate().expect("invalid sampling rate");
     let mut core = SampleCore::build(machine, mem_cfg);
     let mut estimator = SampleEstimator::new();
@@ -219,6 +250,7 @@ pub fn run_sampled(
     // is cumulative, so each segment's target is expressed on top of this.
     let mut committed_base = 0u64;
     let mut fast_forwarded = 0u64;
+    let mut drained = SimStats::new();
     loop {
         let consumed = counted.taken + fast_forwarded;
         if consumed >= budget {
@@ -249,7 +281,8 @@ pub fn run_sampled(
         let exhausted = stats.committed - committed_base < detailed_target;
         // Drain the in-flight tail so the next window's post-gap ops enter
         // an empty pipeline.
-        committed_base = core.drain().committed;
+        drained = core.drain();
+        committed_base = drained.committed;
         if exhausted {
             break; // finite stream ended inside the detailed portion
         }
@@ -259,33 +292,29 @@ pub fn run_sampled(
         }
         // Fast-forward portion: advance the stream to the next period,
         // functionally warming the drained core's caches and predictor
-        // with every skipped op; the next window continues on this core.
+        // with every skipped instruction; the next window continues on
+        // this core.
         let want = sample.skip().min(budget - consumed);
-        let mut skipped = 0u64;
-        while skipped < want {
-            let Some(op) = counted.inner.next() else {
-                break;
-            };
-            core.warm_op(&op);
-            skipped += 1;
-        }
+        let skipped = gap(&mut core, counted.inner, want);
         fast_forwarded += skipped;
         if skipped < want {
             break; // finite stream exhausted inside the gap
         }
     }
-    SampledRun {
+    let run = SampledRun {
         sample: *sample,
         estimate: estimator.estimate(),
         detailed_committed: committed_base,
         fast_forwarded,
         stream_consumed: counted.taken + fast_forwarded,
-    }
+    };
+    (run, drained)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::Job;
     use crate::workload::Workload;
     use dkip_model::config::{BaselineConfig, DkipConfig, KiloConfig};
     use dkip_riscv::Kernel;
@@ -361,6 +390,111 @@ mod tests {
         assert_eq!(stats.committed, run.estimate.committed);
         assert_eq!(stats.cycles, run.estimate.cycles);
         assert!((stats.ipc() - run.estimate.ipc).abs() < 1e-12);
+    }
+
+    /// The reference model of the fast-forward step: the per-op gap loop
+    /// `run_sampled` used before warming moved into the instruction
+    /// sources. Every skipped op is built by the stream iterator and
+    /// handed to the core's `warm_op`.
+    fn per_op_gap(core: &mut SampleCore, stream: &mut WorkloadStream, want: u64) -> u64 {
+        let mut skipped = 0u64;
+        while skipped < want {
+            let Some(op) = stream.next() else {
+                break;
+            };
+            match core {
+                SampleCore::Ooo(core) => core.warm_op(&op),
+                SampleCore::Dkip(proc_) => proc_.warm_op(&op),
+            }
+            skipped += 1;
+        }
+        skipped
+    }
+
+    /// Runs `job` sampled at `sample` through both fast-forward steps and
+    /// asserts the same `SampledRun`, the same statistics after the final
+    /// drain (cycles, cache hits and mispredictions accumulated over every
+    /// detailed window), and the stream left at the same next op and, for a
+    /// RISC-V kernel, the same architectural state. Returns the run and
+    /// whether the last gap ended short (the stream ran out inside it).
+    fn assert_gap_paths_agree(job: &Job, sample: &SampleConfig) -> (SampledRun, bool) {
+        let mut fast = job.workload.stream(job.seed);
+        let mut reference = job.workload.stream(job.seed);
+        let mut short_gap = false;
+        let (run, stats) = run_periods(
+            &job.machine,
+            &job.mem,
+            &mut fast,
+            job.budget,
+            sample,
+            |core: &mut SampleCore, stream: &mut WorkloadStream, want| {
+                let skipped = core.warm_forward(stream, want);
+                short_gap = skipped < want;
+                skipped
+            },
+        );
+        let (want_run, want_stats) = run_periods(
+            &job.machine,
+            &job.mem,
+            &mut reference,
+            job.budget,
+            sample,
+            per_op_gap,
+        );
+        assert_eq!(run, want_run, "{}: sampled runs differ", job.label);
+        assert_eq!(stats, want_stats, "{}: warmed state differs", job.label);
+        if let (WorkloadStream::Riscv(a), WorkloadStream::Riscv(b)) = (&fast, &reference) {
+            assert_eq!(a.emulator().regs(), b.emulator().regs(), "{}", job.label);
+            assert_eq!(a.emulator().pc(), b.emulator().pc(), "{}", job.label);
+        }
+        assert_eq!(
+            fast.next(),
+            reference.next(),
+            "{}: next op differs",
+            job.label
+        );
+        (run, short_gap)
+    }
+
+    #[test]
+    fn warming_from_the_source_matches_per_op_warming_on_the_golden_matrices() {
+        for (suite, jobs) in crate::suites::golden_sampled_suites() {
+            for job in jobs {
+                let sample = job.sample.expect("golden sampled jobs carry a rate");
+                let (run, _) = assert_gap_paths_agree(&job, &sample);
+                assert!(
+                    run.fast_forwarded > 0,
+                    "{suite}/{}: no gap warmed",
+                    job.label
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn warming_from_the_source_matches_per_op_warming_when_a_kernel_halts_in_a_gap() {
+        // Periods of two thirds of the kernel's length with short windows:
+        // the second period's window ends well before the halt, and its
+        // gap runs past it.
+        let run = dkip_riscv::KernelRun::new(Kernel::FibRec, 16);
+        let exact_len = Workload::from(run).stream(1).count() as u64;
+        let sample = SampleConfig::parse(&format!("{}:0:500", exact_len * 2 / 3)).unwrap();
+        for machine in machines() {
+            let job = Job::new(
+                "fibrec",
+                machine,
+                MemoryHierarchyConfig::mem_400(),
+                run,
+                u64::MAX,
+            );
+            let (sampled, short_gap) = assert_gap_paths_agree(&job, &sample);
+            assert!(
+                short_gap,
+                "{}: the kernel ({exact_len} instrs) must halt inside a gap",
+                job.machine.name()
+            );
+            assert_eq!(sampled.consumed(), exact_len);
+        }
     }
 
     #[test]

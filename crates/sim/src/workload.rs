@@ -11,7 +11,7 @@
 //! built, a bare `Benchmark`, [`Kernel`] or [`KernelRun`] coerces into a
 //! `Workload`.
 
-use dkip_model::MicroOp;
+use dkip_model::{MicroOp, WarmSink};
 use dkip_riscv::{Kernel, KernelRun, RiscvStream};
 use dkip_trace::{Benchmark, TraceGenerator};
 
@@ -150,6 +150,18 @@ impl WorkloadStream {
         match self {
             WorkloadStream::Spec(generator) => generator.fast_forward(n),
             WorkloadStream::Riscv(stream) => stream.fast_forward(n),
+        }
+    }
+
+    /// [`WorkloadStream::fast_forward`] that also reports every skipped
+    /// instruction's memory access and conditional-branch outcome to
+    /// `sink`, in program order — what [`WarmSink::warm_op`] on the
+    /// skipped ops would report, without building them. This is how the
+    /// sampled-simulation mode functionally warms a core across a gap.
+    pub fn warm_forward<W: WarmSink>(&mut self, n: u64, sink: &mut W) -> u64 {
+        match self {
+            WorkloadStream::Spec(generator) => generator.warm_forward(n, sink),
+            WorkloadStream::Riscv(stream) => stream.warm_forward(n, sink),
         }
     }
 }

@@ -8,7 +8,7 @@
 
 use crate::spec::{Benchmark, WorkloadSpec};
 use crate::template::{AddressPattern, BranchBehavior, ProgramTemplate, Region};
-use dkip_model::{BranchInfo, BranchKind, MicroOp};
+use dkip_model::{BranchInfo, MicroOp, WarmSink};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -121,21 +121,53 @@ impl TraceGenerator {
     }
 
     /// Functionally fast-forwards `n` micro-ops, returning `n` (the
-    /// synthetic stream never ends).
-    ///
-    /// This is the generator's cheap mode for sampled simulation: the
-    /// template walk, RNG draws, stream cursors and chain states advance
-    /// exactly as if the ops had been consumed, so the ops emitted after a
-    /// skip — sequence numbers included — are bit-identical to the ops an
-    /// uninterrupted generator would produce at the same positions.
+    /// synthetic stream never ends): [`TraceGenerator::warm_forward`] with
+    /// no sink.
     ///
     /// (Named `fast_forward` rather than `skip` so it cannot collide with
     /// the by-value [`Iterator::skip`] adapter during method resolution.)
     pub fn fast_forward(&mut self, n: u64) -> u64 {
+        self.warm_forward(n, &mut ())
+    }
+
+    /// Functionally fast-forwards `n` micro-ops without building them,
+    /// reporting each one's memory access and conditional-branch outcome
+    /// to `sink` in program order, and returns `n`.
+    ///
+    /// This is the generator's cheap mode for sampled simulation: the
+    /// template walk, RNG draws, stream cursors and chain states advance
+    /// exactly as [`Iterator::next`] advances them, so the ops emitted
+    /// after a skip — sequence numbers included — are bit-identical to the
+    /// ops an uninterrupted generator would produce at the same positions,
+    /// and `sink` sees exactly what [`WarmSink::warm_op`] on the skipped
+    /// ops would have reported.
+    pub fn warm_forward<W: WarmSink>(&mut self, n: u64, sink: &mut W) -> u64 {
         for _ in 0..n {
-            let _ = self.next();
+            let instr = &self.template.instrs()[self.index];
+            let (pc, is_store) = (instr.pc, instr.class.is_store());
+            let (address, branch) = (instr.address, instr.branch);
+            if let Some(pattern) = address {
+                let addr = self.next_address(pattern);
+                sink.warm_mem(addr, is_store);
+            }
+            if let Some(behavior) = branch {
+                let taken = self.next_taken(behavior);
+                sink.warm_branch(pc, taken);
+            }
+            self.advance();
         }
         n
+    }
+
+    /// Moves past the current static instruction.
+    #[inline(always)]
+    fn advance(&mut self) {
+        self.seq += 1;
+        self.index += 1;
+        if self.index >= self.template.instrs().len() {
+            self.index = 0;
+            self.iteration += 1;
+        }
     }
 
     fn region_span(&self, region: Region) -> (u64, u64) {
@@ -145,6 +177,9 @@ impl TraceGenerator {
         }
     }
 
+    // `next` and every `warm_forward` instance call this; forced inline so
+    // the inliner does not outline it from `next`, the detailed stream.
+    #[inline(always)]
     fn next_address(&mut self, pattern: AddressPattern) -> u64 {
         match pattern {
             AddressPattern::Streaming {
@@ -176,30 +211,29 @@ impl TraceGenerator {
         }
     }
 
-    fn next_branch(&mut self, behavior: BranchBehavior, pc: u64) -> BranchInfo {
+    /// Resolves the direction of one dynamic instance of a static
+    /// (always conditional) branch.
+    #[inline(always)]
+    fn next_taken(&mut self, behavior: BranchBehavior) -> bool {
         match behavior {
-            BranchBehavior::LoopBack => BranchInfo {
-                kind: BranchKind::Conditional,
-                taken: true,
-                target: self.template.loop_target(),
-            },
+            BranchBehavior::LoopBack => true,
             BranchBehavior::Biased {
                 bias,
                 dominant_taken,
             } => {
                 let follow = self.rng.gen::<f64>() < bias;
-                BranchInfo {
-                    kind: BranchKind::Conditional,
-                    taken: follow == dominant_taken,
-                    target: pc + 16,
-                }
+                follow == dominant_taken
             }
-            BranchBehavior::DataDependent => BranchInfo {
-                kind: BranchKind::Conditional,
-                taken: self.rng.gen::<bool>(),
-                target: pc + 16,
-            },
+            BranchBehavior::DataDependent => self.rng.gen::<bool>(),
         }
+    }
+
+    fn next_branch(&mut self, behavior: BranchBehavior, pc: u64) -> BranchInfo {
+        let target = match behavior {
+            BranchBehavior::LoopBack => self.template.loop_target(),
+            BranchBehavior::Biased { .. } | BranchBehavior::DataDependent => pc + 16,
+        };
+        BranchInfo::conditional(self.next_taken(behavior), target)
     }
 }
 
@@ -221,12 +255,7 @@ impl Iterator for TraceGenerator {
             op.branch = Some(self.next_branch(behavior, pc));
         }
 
-        self.seq += 1;
-        self.index += 1;
-        if self.index >= self.template.instrs().len() {
-            self.index = 0;
-            self.iteration += 1;
-        }
+        self.advance();
         debug_assert!(op.is_well_formed(), "generated malformed micro-op: {op}");
         Some(op)
     }
@@ -235,7 +264,7 @@ impl Iterator for TraceGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dkip_model::RegClass;
+    use dkip_model::{RegClass, WarmLog};
     use std::collections::HashSet;
 
     #[test]
@@ -400,6 +429,26 @@ mod tests {
             let b: Vec<_> = consumed.by_ref().take(500).collect();
             assert_eq!(a, b, "{}: post-skip ops must match", bench.name());
             assert_eq!(a[0].seq, 4_321, "sequence numbers stay dense");
+        }
+    }
+
+    #[test]
+    fn warm_forward_reports_what_the_skipped_ops_carry() {
+        for bench in Benchmark::all() {
+            let mut warmed = TraceGenerator::new(bench, 11);
+            let mut consumed = TraceGenerator::new(bench, 11);
+            let mut got = WarmLog::default();
+            let mut want = WarmLog::default();
+            assert_eq!(warmed.warm_forward(3_000, &mut got), 3_000);
+            for op in consumed.by_ref().take(3_000) {
+                want.warm_op(&op);
+            }
+            assert_eq!(got, want, "{}: warming events differ", bench.name());
+            assert!(!got.mem.is_empty() && !got.branches.is_empty());
+            assert_eq!(warmed.iterations(), consumed.iterations());
+            let a: Vec<_> = warmed.take(300).collect();
+            let b: Vec<_> = consumed.take(300).collect();
+            assert_eq!(a, b, "{}: post-warm ops must match", bench.name());
         }
     }
 
