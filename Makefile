@@ -16,7 +16,10 @@ CACHE_CHECK_DIR = target/cache-check
 ## Scratch directory for the chaos-check stores and outputs.
 CHAOS_CHECK_DIR = target/chaos-check
 
-.PHONY: build test doc verify lint bench bench-figures golden bless riscv perf perf-smoke trace-smoke cache-check chaos-check fuzz fuzz-smoke sample-check clean
+## Build directory for the benchmark in perfbench/ (a workspace of its own).
+BENCH_BUILD_DIR = target/perfbench-build
+
+.PHONY: build test doc verify lint bench bench-build bench-figures golden bless riscv perf perf-smoke trace-smoke cache-check chaos-check fuzz fuzz-smoke sample-check clean
 
 build:
 	cargo build --release
@@ -63,6 +66,13 @@ riscv: build
 ## (or pass `-- --save-baseline NAME`) to persist the measurements as JSON.
 bench:
 	cargo bench -p dkip-bench
+
+## Build the end-to-end benchmark in perfbench/ exactly as perfbench/run.py
+## does. perfbench calls the simulator crates' public API, so an API change
+## that breaks it fails here instead of in a benchmark run. Mirrored by the
+## CI verify job.
+bench-build:
+	CARGO_TARGET_DIR=$(BENCH_BUILD_DIR) cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 ## Simulator-throughput harness: times every core family on Spec and RISC-V
 ## workloads and writes BENCH_sim_throughput.json (MIPS + cycles/sec per

@@ -18,6 +18,10 @@
 //! | Checkpointing Stack | [`checkpoint`] |
 //! | Full pipeline of Figure 8 | [`processor::DkipProcessor`] |
 //!
+//! The processor implements [`dkip_model::SimCore`]: [`dkip_model::drive`]
+//! runs it with the same loop as the baseline and KILO cores, and
+//! [`run_dkip`] is the one-call entry point for a synthetic benchmark.
+//!
 //! # Example
 //!
 //! ```
@@ -52,6 +56,4 @@ pub use llbv::{Llbv, LowLocalityWriter};
 pub use llib::{Llib, LlibEntry, SourceState};
 pub use llrf::{Llrf, LlrfSlot};
 pub use memory_processor::MemoryProcessor;
-pub use processor::{
-    run_dkip, run_dkip_stream, run_dkip_stream_probed, DkipProcessor, DkipSnapshot,
-};
+pub use processor::{run_dkip, DkipProcessor, DkipSnapshot};

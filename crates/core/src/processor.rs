@@ -27,8 +27,8 @@ use dkip_mem::{AccessLevel, MemoryHierarchy};
 use dkip_model::config::{event_clock_enabled, DkipConfig, MemoryHierarchyConfig};
 use dkip_model::telemetry::{MetricsFrame, Stage, Telemetry};
 use dkip_model::{
-    fast_map_with_capacity, fast_set_with_capacity, ConsumerTable, DepList, FastHashMap,
-    FastHashSet, LastWriters, MicroOp, OpClass, RegClass, SimStats, WarmSink,
+    drive, fast_map_with_capacity, fast_set_with_capacity, ConsumerTable, DepList, FastHashMap,
+    FastHashSet, LastWriters, MicroOp, OpClass, RegClass, SimCore, SimStats, WarmSink,
 };
 use dkip_ooo::lsq::FORWARD_LATENCY;
 use dkip_ooo::{FunctionalUnits, IssueQueue, Rob, RobEntry};
@@ -116,10 +116,8 @@ pub struct DkipProcessor {
     /// as the execution-driven RISC-V kernels end; the synthetic generators
     /// never do).
     trace_done: bool,
-    /// Force one `tick()` per simulated cycle instead of letting [`run`]
+    /// Force one tick per simulated cycle instead of letting [`drive`]
     /// fast-forward over quiesced stretches (set by `DKIP_NO_SKIP=1`).
-    ///
-    /// [`run`]: DkipProcessor::run
     single_step: bool,
 
     stats: SimStats,
@@ -187,12 +185,6 @@ impl DkipProcessor {
     #[must_use]
     pub fn config(&self) -> &DkipConfig {
         &self.cfg
-    }
-
-    /// Current cycle.
-    #[must_use]
-    pub fn cycle(&self) -> u64 {
-        self.cycle
     }
 
     /// A one-line snapshot of the main pipeline state, for debugging and
@@ -264,199 +256,13 @@ impl DkipProcessor {
         WarmSink::warm_op(self, op);
     }
 
-    /// Runs until `max_instrs` instructions have committed, the trace ends
-    /// and the whole machine drains (finite execution-driven streams run to
-    /// completion), or a safety cycle bound is reached. Returns the
-    /// accumulated statistics.
-    ///
-    /// Unless single-stepping is forced (`DKIP_NO_SKIP=1`), quiesced
-    /// stretches — a tick in which no load value arrived, no instruction
-    /// moved between pipeline structures and nothing fetched, issued,
-    /// completed or committed — are fast-forwarded to the earliest
-    /// [`DkipProcessor::next_event`], with the per-cycle stall counters
-    /// bumped by the skipped delta so every statistic stays bit-identical
-    /// to single-stepping.
+    /// Runs until `max_instrs` instructions have committed in total, the
+    /// trace ends and the whole machine drains (finite execution-driven
+    /// streams run to completion), or a safety cycle bound is reached, and
+    /// returns the accumulated statistics. See [`drive`], which also
+    /// fast-forwards quiesced stretches bit-identically.
     pub fn run(&mut self, trace: &mut dyn Iterator<Item = MicroOp>, max_instrs: u64) -> SimStats {
-        self.run_probed(trace, max_instrs, None)
-    }
-
-    /// [`run`] with an optional telemetry sink attached. `None` takes the
-    /// exact same path as [`run`]; a sink observes every pipeline stage and
-    /// an interval-metrics row whenever the committed-instruction counter
-    /// crosses a boundary, without perturbing any statistic.
-    ///
-    /// [`run`]: DkipProcessor::run
-    pub fn run_probed(
-        &mut self,
-        trace: &mut dyn Iterator<Item = MicroOp>,
-        max_instrs: u64,
-        mut probe: Option<&mut Telemetry>,
-    ) -> SimStats {
-        let cycle_cap = self
-            .cycle
-            .saturating_add(max_instrs.saturating_mul(2000).max(1_000_000));
-        // Each run() call may bring a fresh trace, so exhaustion must not
-        // latch across calls (it re-latches on the first empty fetch).
-        self.trace_done = false;
-        while self.stats.committed < max_instrs && self.cycle < cycle_cap {
-            let stalls_before = self.stats.stall_counter_snapshot();
-            let progress = self.tick_probed(trace, probe.as_deref_mut());
-            if let Some(t) = probe.as_deref_mut() {
-                if t.metrics_due(self.stats.committed) {
-                    t.record_metrics(&self.metrics_frame());
-                }
-            }
-            // Drained: nothing left in the front end, the Aging-ROB, or on
-            // the low-locality side (LLIBs / Memory Processors / Address
-            // Processor, all tracked by `low_meta`).
-            if self.trace_done
-                && self.fetch_queue.is_empty()
-                && self.rob.is_empty()
-                && self.low_meta.is_empty()
-            {
-                break;
-            }
-            if !progress && !self.single_step {
-                self.skip_quiesced_cycles(cycle_cap, stalls_before);
-            }
-        }
-        self.finalize_stats();
-        self.stats.clone()
-    }
-
-    /// Advances the whole machine by one cycle.
-    pub fn tick(&mut self, trace: &mut dyn Iterator<Item = MicroOp>) {
-        let _ = self.tick_probed(trace, None);
-    }
-
-    /// The interval-metrics snapshot of the current machine state: Aging-ROB
-    /// / CP issue-queue / AP LSQ occupancy, the two LLIBs, the LLBV marked
-    /// count, and the cumulative commit, branch, cache and clock counters.
-    fn metrics_frame(&self) -> MetricsFrame {
-        let mut frame = MetricsFrame {
-            cycle: self.cycle,
-            committed: self.stats.committed,
-            rob: self.rob.len() as u64,
-            iq: (self.cp_int_iq.len() + self.cp_fp_iq.len()) as u64,
-            lsq: self.ap.lsq().occupancy() as u64,
-            llib: (self.llib_int.len() + self.llib_fp.len()) as u64,
-            llbv: self.llbv.marked_count() as u64,
-            cond_branches: self.stats.cond_branches,
-            branch_mispredicts: self.stats.branch_mispredicts,
-            ticks_executed: self.stats.ticks_executed,
-            cycles_skipped: self.stats.cycles_skipped,
-            ..MetricsFrame::default()
-        };
-        self.ap.mem_stats().fill_metrics(&mut frame);
-        frame
-    }
-
-    /// Advances the whole machine by one cycle and reports whether any work
-    /// happened in any stage. A `false` return means the machine state is
-    /// unchanged apart from time-gated conditions, so every following cycle
-    /// until [`DkipProcessor::next_event`] would be identical.
-    fn tick_probed(
-        &mut self,
-        trace: &mut dyn Iterator<Item = MicroOp>,
-        mut probe: Option<&mut Telemetry>,
-    ) -> bool {
-        self.cycle += 1;
-        self.stats.ticks_executed += 1;
-        self.cp_fus.begin_cycle();
-        self.mp_int.begin_cycle();
-        self.mp_fp.begin_cycle();
-        let mut arrived_loads = std::mem::take(&mut self.arrived_scratch);
-        arrived_loads.clear();
-        self.ap.begin_cycle_into(self.cycle, &mut arrived_loads);
-        for &load in &arrived_loads {
-            self.handle_load_value_arrival(load, probe.as_deref_mut());
-        }
-        let mut progress = !arrived_loads.is_empty();
-        self.arrived_scratch = arrived_loads;
-        progress |= self.drain_mp_completions(probe.as_deref_mut());
-        progress |= self.mp_issue(probe.as_deref_mut());
-        progress |= self.llib_to_mp_transfer();
-        progress |= self.cp_writeback(probe.as_deref_mut());
-        progress |= self.analyze(probe.as_deref_mut());
-        progress |= self.cp_issue(probe.as_deref_mut());
-        progress |= self.cp_dispatch(probe.as_deref_mut());
-        progress |= self.fetch(trace, probe);
-        progress
-    }
-
-    /// The earliest future cycle (strictly after the current one) at which
-    /// the machine's state can change without new work arriving: a Cache
-    /// Processor completion, a Memory Processor completion, a long-latency
-    /// load value arriving at the Address Processor (or any outstanding
-    /// cache fill), the end of the front-end refill penalty, or the
-    /// Aging-ROB head reaching the Analyze stage. `None` means no event is
-    /// pending and the machine can never wake on its own.
-    #[must_use]
-    pub fn next_event(&mut self) -> Option<u64> {
-        let now = self.cycle;
-        let mut next = self
-            .cp_completions
-            .peek()
-            .map(|&Reverse((cycle, _))| cycle)
-            .filter(|&cycle| cycle > now);
-        let mut consider = |candidate: Option<u64>| {
-            if let Some(cycle) = candidate {
-                next = Some(next.map_or(cycle, |n| n.min(cycle)));
-            }
-        };
-        consider(self.mp_int.next_event(now));
-        consider(self.mp_fp.next_event(now));
-        consider(self.ap.next_event(now));
-        consider(Some(self.fetch_resume_at).filter(|&at| at > now));
-        // The Aging-ROB: a head that has not aged yet becomes analyzable at
-        // a fixed future cycle even if nothing else happens.
-        consider(
-            self.rob
-                .head()
-                .map(|head| head.dispatch_cycle + self.cfg.cache_processor.rob_timer)
-                .filter(|&at| at > now),
-        );
-        next
-    }
-
-    /// Fast-forwards over a quiesced stretch: advances `cycle` to just
-    /// before the next event (or past `cycle_cap` when no event is pending,
-    /// matching a single-stepped spin to the cap) and replays the per-cycle
-    /// stall bumps the skipped ticks would have performed.
-    fn skip_quiesced_cycles(&mut self, cycle_cap: u64, stalls_before: [u64; 4]) {
-        let event = self
-            .next_event()
-            .unwrap_or_else(|| cycle_cap.saturating_add(1));
-        let target = event.min(cycle_cap.saturating_add(1)) - 1;
-        if target <= self.cycle {
-            return;
-        }
-        let skipped = target - self.cycle;
-        self.cycle = target;
-        self.stats.cycles_skipped += skipped;
-        self.stats.replay_stall_cycles(stalls_before, skipped);
-    }
-
-    fn finalize_stats(&mut self) {
-        self.stats.cycles = self.cycle;
-        let mem = self.ap.mem_stats();
-        self.stats.l1_hits = mem.l1_hits;
-        self.stats.l2_hits = mem.l2_hits;
-        self.stats.mem_accesses = mem.memory_accesses;
-        self.stats.llib_int_peak_instrs = self.llib_int.peak() as u64;
-        self.stats.llib_fp_peak_instrs = self.llib_fp.peak() as u64;
-        self.stats.llrf_int_peak_regs = self.llrf_int.peak() as u64;
-        self.stats.llrf_fp_peak_regs = self.llrf_fp.peak() as u64;
-        self.stats.checkpoints_taken = self.checkpoints.taken();
-        self.stats.checkpoint_recoveries = self.checkpoints.recoveries();
-    }
-
-    fn queue_class(op: &MicroOp) -> RegClass {
-        if op.class.is_fp() || op.dst.map(|d| d.class()) == Some(RegClass::Fp) {
-            RegClass::Fp
-        } else {
-            RegClass::Int
-        }
+        drive(self, trace, max_instrs, None)
     }
 
     // ------------------------------------------------------------------
@@ -867,7 +673,7 @@ impl DkipProcessor {
     fn insert_into_llib(&mut self, seq: u64) -> bool {
         let head = self.rob.head().expect("caller checked");
         let op = head.op;
-        let class = Self::queue_class(&op);
+        let class = op.queue_class();
         let llib_has_space = match class {
             RegClass::Int => self.llib_int.has_space(),
             RegClass::Fp => self.llib_fp.has_space(),
@@ -1039,7 +845,7 @@ impl DkipProcessor {
             if op.class.is_mem() && !self.ap.lsq().has_space() {
                 break;
             }
-            let queue_class = Self::queue_class(op);
+            let queue_class = op.queue_class();
             let iq = match queue_class {
                 RegClass::Int => &self.cp_int_iq,
                 RegClass::Fp => &self.cp_fp_iq,
@@ -1146,6 +952,142 @@ impl DkipProcessor {
     }
 }
 
+/// One cycle of the whole decoupled machine, for [`drive`]: load values
+/// arriving at the Address Processor, Memory Processor completion, issue
+/// and LLIB transfer, then the Cache Processor's writeback, Analyze, issue,
+/// dispatch and fetch.
+impl SimCore for DkipProcessor {
+    fn tick(
+        &mut self,
+        trace: &mut dyn Iterator<Item = MicroOp>,
+        mut probe: Option<&mut Telemetry>,
+    ) -> bool {
+        self.cycle += 1;
+        self.stats.ticks_executed += 1;
+        self.cp_fus.begin_cycle();
+        self.mp_int.begin_cycle();
+        self.mp_fp.begin_cycle();
+        let mut arrived_loads = std::mem::take(&mut self.arrived_scratch);
+        arrived_loads.clear();
+        self.ap.begin_cycle_into(self.cycle, &mut arrived_loads);
+        for &load in &arrived_loads {
+            self.handle_load_value_arrival(load, probe.as_deref_mut());
+        }
+        let mut progress = !arrived_loads.is_empty();
+        self.arrived_scratch = arrived_loads;
+        progress |= self.drain_mp_completions(probe.as_deref_mut());
+        progress |= self.mp_issue(probe.as_deref_mut());
+        progress |= self.llib_to_mp_transfer();
+        progress |= self.cp_writeback(probe.as_deref_mut());
+        progress |= self.analyze(probe.as_deref_mut());
+        progress |= self.cp_issue(probe.as_deref_mut());
+        progress |= self.cp_dispatch(probe.as_deref_mut());
+        progress |= self.fetch(trace, probe);
+        progress
+    }
+
+    /// A Cache Processor completion, a Memory Processor completion, a
+    /// long-latency load value arriving at the Address Processor (or any
+    /// outstanding cache fill), the end of the front-end refill penalty, or
+    /// the Aging-ROB head reaching the Analyze stage.
+    fn next_event(&mut self) -> Option<u64> {
+        let now = self.cycle;
+        let mut next = self
+            .cp_completions
+            .peek()
+            .map(|&Reverse((cycle, _))| cycle)
+            .filter(|&cycle| cycle > now);
+        let mut consider = |candidate: Option<u64>| {
+            if let Some(cycle) = candidate {
+                next = Some(next.map_or(cycle, |n| n.min(cycle)));
+            }
+        };
+        consider(self.mp_int.next_event(now));
+        consider(self.mp_fp.next_event(now));
+        consider(self.ap.next_event(now));
+        consider(Some(self.fetch_resume_at).filter(|&at| at > now));
+        // The Aging-ROB: a head that has not aged yet becomes analyzable at
+        // a fixed future cycle even if nothing else happens.
+        consider(
+            self.rob
+                .head()
+                .map(|head| head.dispatch_cycle + self.cfg.cache_processor.rob_timer)
+                .filter(|&at| at > now),
+        );
+        next
+    }
+
+    /// Nothing left in the front end, the Aging-ROB, or on the low-locality
+    /// side (LLIBs / Memory Processors / Address Processor, all tracked by
+    /// `low_meta`).
+    fn is_drained(&self) -> bool {
+        self.trace_done
+            && self.fetch_queue.is_empty()
+            && self.rob.is_empty()
+            && self.low_meta.is_empty()
+    }
+
+    fn rearm_trace(&mut self) {
+        self.trace_done = false;
+    }
+
+    /// Aging-ROB / CP issue-queue / AP LSQ occupancy, the two LLIBs, the
+    /// LLBV marked count, and the cumulative commit, branch, cache and clock
+    /// counters.
+    fn metrics_frame(&self) -> MetricsFrame {
+        let mut frame = MetricsFrame {
+            cycle: self.cycle,
+            committed: self.stats.committed,
+            rob: self.rob.len() as u64,
+            iq: (self.cp_int_iq.len() + self.cp_fp_iq.len()) as u64,
+            lsq: self.ap.lsq().occupancy() as u64,
+            llib: (self.llib_int.len() + self.llib_fp.len()) as u64,
+            llbv: self.llbv.marked_count() as u64,
+            cond_branches: self.stats.cond_branches,
+            branch_mispredicts: self.stats.branch_mispredicts,
+            ticks_executed: self.stats.ticks_executed,
+            cycles_skipped: self.stats.cycles_skipped,
+            ..MetricsFrame::default()
+        };
+        self.ap.mem_stats().fill_metrics(&mut frame);
+        frame
+    }
+
+    fn finalize_stats(&mut self) {
+        self.stats.cycles = self.cycle;
+        let mem = self.ap.mem_stats();
+        self.stats.l1_hits = mem.l1_hits;
+        self.stats.l2_hits = mem.l2_hits;
+        self.stats.mem_accesses = mem.memory_accesses;
+        self.stats.llib_int_peak_instrs = self.llib_int.peak() as u64;
+        self.stats.llib_fp_peak_instrs = self.llib_fp.peak() as u64;
+        self.stats.llrf_int_peak_regs = self.llrf_int.peak() as u64;
+        self.stats.llrf_fp_peak_regs = self.llrf_fp.peak() as u64;
+        self.stats.checkpoints_taken = self.checkpoints.taken();
+        self.stats.checkpoint_recoveries = self.checkpoints.recoveries();
+    }
+
+    fn single_step(&self) -> bool {
+        self.single_step
+    }
+
+    fn cycle(&self) -> u64 {
+        self.cycle
+    }
+
+    fn cycle_mut(&mut self) -> &mut u64 {
+        &mut self.cycle
+    }
+
+    fn stats(&self) -> &SimStats {
+        &self.stats
+    }
+
+    fn stats_mut(&mut self) -> &mut SimStats {
+        &mut self.stats
+    }
+}
+
 /// Functional warming of the long-lived microarchitectural state with
 /// instructions that are *not* simulated in detail: memory accesses
 /// install/promote their line in the Address Processor's hierarchy
@@ -1164,46 +1106,6 @@ impl WarmSink for DkipProcessor {
     }
 }
 
-/// Runs an arbitrary correct-path [`MicroOp`] stream for up to `max_instrs`
-/// committed instructions on a D-KIP with configuration `cfg` and memory
-/// hierarchy `mem_cfg`. Finite streams (e.g. the `dkip-riscv` kernels) run
-/// to completion and drain the whole machine.
-///
-/// # Panics
-///
-/// Panics if the memory or processor configuration is invalid.
-#[must_use]
-pub fn run_dkip_stream(
-    cfg: &DkipConfig,
-    mem_cfg: &MemoryHierarchyConfig,
-    stream: &mut dyn Iterator<Item = MicroOp>,
-    max_instrs: u64,
-) -> SimStats {
-    run_dkip_stream_probed(cfg, mem_cfg, stream, max_instrs, None)
-}
-
-/// [`run_dkip_stream`] with an optional telemetry sink attached (`None` is
-/// bit-identical to the plain entry point). The pipeline trace records the
-/// D-KIP's CP→MP handoff (the Analyze stage draining an instruction to the
-/// LLIB or handing a long-latency load to the Address Processor) as an
-/// extra per-µop timestamp.
-///
-/// # Panics
-///
-/// Panics if the memory or processor configuration is invalid.
-#[must_use]
-pub fn run_dkip_stream_probed(
-    cfg: &DkipConfig,
-    mem_cfg: &MemoryHierarchyConfig,
-    stream: &mut dyn Iterator<Item = MicroOp>,
-    max_instrs: u64,
-    probe: Option<&mut Telemetry>,
-) -> SimStats {
-    let mem = MemoryHierarchy::new(mem_cfg.clone()).expect("invalid memory configuration");
-    let mut proc = DkipProcessor::new(cfg.clone(), mem);
-    proc.run_probed(stream, max_instrs, probe)
-}
-
 /// Runs `benchmark` for `max_instrs` committed instructions on a D-KIP with
 /// configuration `cfg` and memory hierarchy `mem_cfg`.
 ///
@@ -1218,12 +1120,8 @@ pub fn run_dkip(
     max_instrs: u64,
     seed: u64,
 ) -> SimStats {
-    run_dkip_stream(
-        cfg,
-        mem_cfg,
-        &mut TraceGenerator::new(benchmark, seed),
-        max_instrs,
-    )
+    let mem = MemoryHierarchy::new(mem_cfg.clone()).expect("invalid memory configuration");
+    DkipProcessor::new(cfg.clone(), mem).run(&mut TraceGenerator::new(benchmark, seed), max_instrs)
 }
 
 #[cfg(test)]

@@ -20,6 +20,10 @@
 //! pooled consumer tables and fast deterministic hashing (see
 //! ARCHITECTURE.md, "Hot-path data structures").
 //!
+//! [`build_kilo_core`] returns that engine configured as a KILO core, which
+//! [`dkip_model::drive`] runs like every other family; [`run_kilo`] is the
+//! one-call entry point for a synthetic benchmark.
+//!
 //! # Example
 //!
 //! ```
@@ -43,8 +47,7 @@
 use dkip_bpred::PredictorKind;
 use dkip_mem::MemoryHierarchy;
 use dkip_model::config::{KiloConfig, MemoryHierarchyConfig};
-use dkip_model::telemetry::Telemetry;
-use dkip_model::{MicroOp, SimStats};
+use dkip_model::SimStats;
 use dkip_ooo::{CoreParams, OooCore};
 use dkip_trace::{Benchmark, TraceGenerator};
 
@@ -82,45 +85,6 @@ pub fn build_kilo_core(cfg: &KiloConfig, mem: MemoryHierarchy) -> OooCore {
     OooCore::new(kilo_core_params(cfg), mem)
 }
 
-/// Runs an arbitrary correct-path [`MicroOp`] stream for up to `max_instrs`
-/// committed instructions on the traditional KILO baseline. Finite streams
-/// (e.g. the `dkip-riscv` kernels) run to completion and drain the
-/// pipeline.
-///
-/// # Panics
-///
-/// Panics if the memory or processor configuration is invalid.
-#[must_use]
-pub fn run_kilo_stream(
-    cfg: &KiloConfig,
-    mem_cfg: &MemoryHierarchyConfig,
-    stream: &mut dyn Iterator<Item = MicroOp>,
-    max_instrs: u64,
-) -> SimStats {
-    run_kilo_stream_probed(cfg, mem_cfg, stream, max_instrs, None)
-}
-
-/// [`run_kilo_stream`] with an optional telemetry sink attached (`None` is
-/// bit-identical to the plain entry point). The shared engine reports the
-/// SLIQ/slow-lane occupancy through the frame's low-locality-buffer
-/// column.
-///
-/// # Panics
-///
-/// Panics if the memory or processor configuration is invalid.
-#[must_use]
-pub fn run_kilo_stream_probed(
-    cfg: &KiloConfig,
-    mem_cfg: &MemoryHierarchyConfig,
-    stream: &mut dyn Iterator<Item = MicroOp>,
-    max_instrs: u64,
-    probe: Option<&mut Telemetry>,
-) -> SimStats {
-    let mem = MemoryHierarchy::new(mem_cfg.clone()).expect("invalid memory configuration");
-    let mut core = build_kilo_core(cfg, mem);
-    core.run_probed(stream, max_instrs, probe)
-}
-
 /// Runs `benchmark` for `max_instrs` committed instructions on the
 /// traditional KILO baseline.
 ///
@@ -135,12 +99,8 @@ pub fn run_kilo(
     max_instrs: u64,
     seed: u64,
 ) -> SimStats {
-    run_kilo_stream(
-        cfg,
-        mem_cfg,
-        &mut TraceGenerator::new(benchmark, seed),
-        max_instrs,
-    )
+    let mem = MemoryHierarchy::new(mem_cfg.clone()).expect("invalid memory configuration");
+    build_kilo_core(cfg, mem).run(&mut TraceGenerator::new(benchmark, seed), max_instrs)
 }
 
 #[cfg(test)]

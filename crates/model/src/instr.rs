@@ -6,7 +6,7 @@
 //! `dkip-core` simulate their timing.
 
 use crate::op::OpClass;
-use crate::reg::ArchReg;
+use crate::reg::{ArchReg, RegClass};
 use std::fmt;
 
 /// The kind of a control-flow instruction.
@@ -172,6 +172,18 @@ impl MicroOp {
                 ..
             })
         )
+    }
+
+    /// The issue queue the micro-op waits in: the FP queue for FP
+    /// operations and for anything writing an FP register, the integer
+    /// queue otherwise.
+    #[must_use]
+    pub fn queue_class(&self) -> RegClass {
+        if self.class.is_fp() || self.dst.map(ArchReg::class) == Some(RegClass::Fp) {
+            RegClass::Fp
+        } else {
+            RegClass::Int
+        }
     }
 
     /// Validates structural invariants of the micro-op: memory operations

@@ -21,6 +21,8 @@
 //! * [`warm`] — the [`warm::WarmSink`] through which instruction sources
 //!   report skipped instructions' memory accesses and branch outcomes to
 //!   a functionally warmed core,
+//! * [`sim_core`] — the [`sim_core::SimCore`] trait every core family
+//!   implements and the one [`sim_core::drive`] loop that runs them all,
 //! * [`error`] — configuration validation errors.
 //!
 //! # Example
@@ -44,6 +46,7 @@ pub mod instr;
 pub mod key;
 pub mod op;
 pub mod reg;
+pub mod sim_core;
 pub mod stats;
 pub mod telemetry;
 pub mod warm;
@@ -62,6 +65,7 @@ pub use instr::{BranchInfo, BranchKind, MicroOp};
 pub use key::{fnv1a_128, key_digest, KeyWriter, StableKey};
 pub use op::{FuPool, OpClass};
 pub use reg::{ArchReg, PhysReg, RegClass, FP_ARCH_REGS, INT_ARCH_REGS, TOTAL_ARCH_REGS};
+pub use sim_core::{drive, SimCore};
 pub use stats::{Histogram, IpcEstimate, SampleEstimator, SimStats, WindowSample};
 pub use telemetry::{MetricsConfig, MetricsFrame, Stage, Telemetry, TraceConfig, METRICS_ENV};
 pub use warm::{WarmLog, WarmSink};

@@ -334,7 +334,7 @@ struct TraceState {
 
 /// The probe sink. Construct one with [`Telemetry::from_configs`] (file
 /// output) or [`Telemetry::buffered`] (in-memory only, for tests), pass it
-/// to a core's `run_probed`, then collect output via
+/// to [`crate::drive`], then collect output via
 /// [`Telemetry::write_files`] / [`Telemetry::metrics_text`] /
 /// [`Telemetry::trace_text`].
 #[derive(Debug)]

@@ -23,8 +23,8 @@ use dkip_model::config::{
 };
 use dkip_model::telemetry::{MetricsFrame, Stage, Telemetry};
 use dkip_model::{
-    fast_set_with_capacity, ConsumerTable, DepList, FastHashSet, Histogram, LastWriters, MicroOp,
-    OpClass, RegClass, SimStats, WarmSink,
+    drive, fast_set_with_capacity, ConsumerTable, DepList, FastHashSet, Histogram, LastWriters,
+    MicroOp, OpClass, RegClass, SimCore, SimStats, WarmSink,
 };
 use dkip_trace::{Benchmark, TraceGenerator};
 use std::cmp::Reverse;
@@ -152,10 +152,8 @@ pub struct OooCore {
     /// the execution-driven RISC-V kernels end; the synthetic generators
     /// never do).
     trace_done: bool,
-    /// Force one `tick()` per simulated cycle instead of letting [`run`]
+    /// Force one tick per simulated cycle instead of letting [`drive`]
     /// fast-forward over quiesced stretches (set by `DKIP_NO_SKIP=1`).
-    ///
-    /// [`run`]: OooCore::run
     single_step: bool,
     stats: SimStats,
     issue_hist: Option<Histogram>,
@@ -215,12 +213,6 @@ impl OooCore {
         &self.params
     }
 
-    /// Current cycle count.
-    #[must_use]
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
     /// Forces (or releases) single-stepped simulation regardless of the
     /// `DKIP_NO_SKIP` environment variable sampled at construction.
     pub fn set_single_step(&mut self, single_step: bool) {
@@ -256,165 +248,13 @@ impl OooCore {
         WarmSink::warm_op(self, op);
     }
 
-    /// Runs the core until `max_instrs` instructions have committed, the
-    /// trace ends and the pipeline drains (finite execution-driven streams
-    /// run to completion), or a safety cycle bound is hit. Returns the
-    /// accumulated statistics.
-    ///
-    /// Unless single-stepping is forced (`DKIP_NO_SKIP=1`), quiesced
-    /// stretches — a tick that fetched, dispatched, issued, reinserted,
-    /// completed and committed nothing — are fast-forwarded to the earliest
-    /// [`OooCore::next_event`], with the per-cycle stall counters bumped by
-    /// the skipped delta so every statistic stays bit-identical to
-    /// single-stepping.
+    /// Runs the core until `max_instrs` instructions have committed in
+    /// total, the trace ends and the pipeline drains (finite
+    /// execution-driven streams run to completion), or a safety cycle bound
+    /// is hit, and returns the accumulated statistics. See [`drive`], which
+    /// also fast-forwards quiesced stretches bit-identically.
     pub fn run(&mut self, trace: &mut dyn Iterator<Item = MicroOp>, max_instrs: u64) -> SimStats {
-        self.run_probed(trace, max_instrs, None)
-    }
-
-    /// [`OooCore::run`] with an optional telemetry sink attached. The sink
-    /// is a run parameter, not core state, so snapshots and `Clone` are
-    /// unaffected; with `None` each probe site costs one predictable
-    /// branch and no allocation, and the simulation is bit-identical
-    /// either way.
-    pub fn run_probed(
-        &mut self,
-        trace: &mut dyn Iterator<Item = MicroOp>,
-        max_instrs: u64,
-        mut probe: Option<&mut Telemetry>,
-    ) -> SimStats {
-        let cycle_cap = self
-            .cycle
-            .saturating_add(max_instrs.saturating_mul(2000).max(1_000_000));
-        // Each run() call may bring a fresh trace, so exhaustion must not
-        // latch across calls (it re-latches on the first empty fetch).
-        self.trace_done = false;
-        while self.stats.committed < max_instrs && self.cycle < cycle_cap {
-            let stalls_before = self.stats.stall_counter_snapshot();
-            let progress = self.tick_probed(trace, probe.as_deref_mut());
-            if let Some(t) = probe.as_deref_mut() {
-                if t.metrics_due(self.stats.committed) {
-                    t.record_metrics(&self.metrics_frame());
-                }
-            }
-            if self.trace_done && self.fetch_queue.is_empty() && self.rob.is_empty() {
-                break;
-            }
-            if !progress && !self.single_step {
-                self.skip_quiesced_cycles(cycle_cap, stalls_before);
-            }
-        }
-        self.finalize_stats();
-        self.stats.clone()
-    }
-
-    /// Advances the pipeline by one cycle.
-    pub fn tick(&mut self, trace: &mut dyn Iterator<Item = MicroOp>) {
-        let _ = self.tick_probed(trace, None);
-    }
-
-    /// Advances the pipeline by one cycle and reports whether any work
-    /// happened: an instruction fetched, dispatched, issued, reinserted,
-    /// completed or committed. A `false` return means the machine state is
-    /// unchanged apart from time-gated conditions, so every following cycle
-    /// until [`OooCore::next_event`] would be identical.
-    ///
-    /// The telemetry sink observes exactly the work the progress flag
-    /// reports: any stage that can make progress must feed both.
-    fn tick_probed(
-        &mut self,
-        trace: &mut dyn Iterator<Item = MicroOp>,
-        mut probe: Option<&mut Telemetry>,
-    ) -> bool {
-        self.cycle += 1;
-        self.stats.ticks_executed += 1;
-        self.fus.begin_cycle();
-        self.ports.begin_cycle();
-        let mut progress = self.do_commit(probe.as_deref_mut());
-        progress |= self.do_writeback(probe.as_deref_mut());
-        progress |= self.do_reinsert();
-        progress |= self.do_issue(probe.as_deref_mut());
-        progress |= self.do_dispatch(probe.as_deref_mut());
-        progress |= self.do_fetch(trace, probe);
-        progress
-    }
-
-    /// Snapshot of the occupancies and cumulative counters the interval
-    /// metrics report, taken at a row boundary. The slow lane (KILO) maps
-    /// onto the frame's low-locality-buffer column; the plain baseline has
-    /// neither an LLIB nor an LLBV.
-    fn metrics_frame(&self) -> MetricsFrame {
-        let mut frame = MetricsFrame {
-            cycle: self.cycle,
-            committed: self.stats.committed,
-            rob: self.rob.len() as u64,
-            iq: (self.int_iq.len() + self.fp_iq.len()) as u64,
-            lsq: self.lsq.occupancy() as u64,
-            llib: self.slow_lane.len() as u64,
-            llbv: 0,
-            cond_branches: self.stats.cond_branches,
-            branch_mispredicts: self.stats.branch_mispredicts,
-            ticks_executed: self.stats.ticks_executed,
-            cycles_skipped: self.stats.cycles_skipped,
-            ..MetricsFrame::default()
-        };
-        self.mem.stats().fill_metrics(&mut frame);
-        frame
-    }
-
-    /// The earliest future cycle (strictly after the current one) at which
-    /// the core's state can change without new work arriving: the next
-    /// scheduled execution completion, the end of the front-end refill
-    /// penalty, or the next outstanding cache fill. `None` means no event is
-    /// pending and the machine can never wake on its own.
-    #[must_use]
-    pub fn next_event(&mut self) -> Option<u64> {
-        let mut next = self
-            .completions
-            .peek()
-            .map(|&Reverse((cycle, _))| cycle)
-            .filter(|&cycle| cycle > self.cycle);
-        if self.fetch_resume_at > self.cycle {
-            next = Some(next.map_or(self.fetch_resume_at, |n| n.min(self.fetch_resume_at)));
-        }
-        if let Some(fill) = self.mem.next_event(self.cycle) {
-            next = Some(next.map_or(fill, |n| n.min(fill)));
-        }
-        next
-    }
-
-    /// Fast-forwards over a quiesced stretch: advances `cycle` to just
-    /// before the next event (or past `cycle_cap` when no event is pending,
-    /// matching a single-stepped spin to the cap) and replays the per-cycle
-    /// stall bumps the skipped ticks would have performed.
-    fn skip_quiesced_cycles(&mut self, cycle_cap: u64, stalls_before: [u64; 4]) {
-        let event = self
-            .next_event()
-            .unwrap_or_else(|| cycle_cap.saturating_add(1));
-        let target = event.min(cycle_cap.saturating_add(1)) - 1;
-        if target <= self.cycle {
-            return;
-        }
-        let skipped = target - self.cycle;
-        self.cycle = target;
-        self.stats.cycles_skipped += skipped;
-        self.stats.replay_stall_cycles(stalls_before, skipped);
-    }
-
-    fn finalize_stats(&mut self) {
-        self.stats.cycles = self.cycle;
-        let mem_stats = self.mem.stats();
-        self.stats.l1_hits = mem_stats.l1_hits;
-        self.stats.l2_hits = mem_stats.l2_hits;
-        self.stats.mem_accesses = mem_stats.memory_accesses;
-        self.stats.issue_latency = self.issue_hist.clone();
-    }
-
-    fn queue_class(op: &MicroOp) -> RegClass {
-        if op.class.is_fp() || op.dst.map(|d| d.class()) == Some(RegClass::Fp) {
-            RegClass::Fp
-        } else {
-            RegClass::Int
-        }
+        drive(self, trace, max_instrs, None)
     }
 
     // ------------------------------------------------------------------
@@ -680,7 +520,7 @@ impl OooCore {
             if op.class.is_mem() && !self.lsq.has_space() {
                 break;
             }
-            let queue_class = Self::queue_class(op);
+            let queue_class = op.queue_class();
             // Decide whether the instruction goes to an issue queue or is
             // parked in the slow lane before checking queue space. The
             // producer list is inline ([`DepList`]): a micro-op has at most
@@ -815,6 +655,104 @@ impl OooCore {
     }
 }
 
+/// One cycle of the out-of-order pipeline, for [`drive`]: commit,
+/// writeback/wakeup, slow-lane reinsert, issue, dispatch and fetch, in that
+/// order.
+impl SimCore for OooCore {
+    fn tick(
+        &mut self,
+        trace: &mut dyn Iterator<Item = MicroOp>,
+        mut probe: Option<&mut Telemetry>,
+    ) -> bool {
+        self.cycle += 1;
+        self.stats.ticks_executed += 1;
+        self.fus.begin_cycle();
+        self.ports.begin_cycle();
+        let mut progress = self.do_commit(probe.as_deref_mut());
+        progress |= self.do_writeback(probe.as_deref_mut());
+        progress |= self.do_reinsert();
+        progress |= self.do_issue(probe.as_deref_mut());
+        progress |= self.do_dispatch(probe.as_deref_mut());
+        progress |= self.do_fetch(trace, probe);
+        progress
+    }
+
+    /// The next scheduled execution completion, the end of the front-end
+    /// refill penalty, or the next outstanding cache fill.
+    fn next_event(&mut self) -> Option<u64> {
+        let mut next = self
+            .completions
+            .peek()
+            .map(|&Reverse((cycle, _))| cycle)
+            .filter(|&cycle| cycle > self.cycle);
+        if self.fetch_resume_at > self.cycle {
+            next = Some(next.map_or(self.fetch_resume_at, |n| n.min(self.fetch_resume_at)));
+        }
+        if let Some(fill) = self.mem.next_event(self.cycle) {
+            next = Some(next.map_or(fill, |n| n.min(fill)));
+        }
+        next
+    }
+
+    fn is_drained(&self) -> bool {
+        self.trace_done && self.fetch_queue.is_empty() && self.rob.is_empty()
+    }
+
+    fn rearm_trace(&mut self) {
+        self.trace_done = false;
+    }
+
+    /// The slow lane (KILO) maps onto the frame's low-locality-buffer
+    /// column; the plain baseline has neither an LLIB nor an LLBV.
+    fn metrics_frame(&self) -> MetricsFrame {
+        let mut frame = MetricsFrame {
+            cycle: self.cycle,
+            committed: self.stats.committed,
+            rob: self.rob.len() as u64,
+            iq: (self.int_iq.len() + self.fp_iq.len()) as u64,
+            lsq: self.lsq.occupancy() as u64,
+            llib: self.slow_lane.len() as u64,
+            llbv: 0,
+            cond_branches: self.stats.cond_branches,
+            branch_mispredicts: self.stats.branch_mispredicts,
+            ticks_executed: self.stats.ticks_executed,
+            cycles_skipped: self.stats.cycles_skipped,
+            ..MetricsFrame::default()
+        };
+        self.mem.stats().fill_metrics(&mut frame);
+        frame
+    }
+
+    fn finalize_stats(&mut self) {
+        self.stats.cycles = self.cycle;
+        let mem_stats = self.mem.stats();
+        self.stats.l1_hits = mem_stats.l1_hits;
+        self.stats.l2_hits = mem_stats.l2_hits;
+        self.stats.mem_accesses = mem_stats.memory_accesses;
+        self.stats.issue_latency = self.issue_hist.clone();
+    }
+
+    fn single_step(&self) -> bool {
+        self.single_step
+    }
+
+    fn cycle(&self) -> u64 {
+        self.cycle
+    }
+
+    fn cycle_mut(&mut self) -> &mut u64 {
+        &mut self.cycle
+    }
+
+    fn stats(&self) -> &SimStats {
+        &self.stats
+    }
+
+    fn stats_mut(&mut self) -> &mut SimStats {
+        &mut self.stats
+    }
+}
+
 /// Functional warming of the long-lived microarchitectural state with
 /// instructions that are *not* simulated in detail: memory accesses
 /// install/promote their line in the cache hierarchy (timing-free, see
@@ -836,46 +774,6 @@ impl WarmSink for OooCore {
     }
 }
 
-/// Runs an arbitrary correct-path [`MicroOp`] stream for up to `max_instrs`
-/// committed instructions on the baseline configuration `cfg` with memory
-/// hierarchy `mem_cfg`. Finite streams (e.g. the execution-driven RISC-V
-/// kernels of `dkip-riscv`) run to completion and drain the pipeline.
-///
-/// This is the single entry point every workload source funnels through;
-/// [`run_baseline`] is the synthetic-benchmark convenience wrapper.
-///
-/// # Panics
-///
-/// Panics if the memory configuration is invalid.
-#[must_use]
-pub fn run_baseline_stream(
-    cfg: &BaselineConfig,
-    mem_cfg: &MemoryHierarchyConfig,
-    stream: &mut dyn Iterator<Item = MicroOp>,
-    max_instrs: u64,
-) -> SimStats {
-    run_baseline_stream_probed(cfg, mem_cfg, stream, max_instrs, None)
-}
-
-/// [`run_baseline_stream`] with an optional telemetry sink attached
-/// (`None` is bit-identical to the plain entry point).
-///
-/// # Panics
-///
-/// Panics if the memory configuration is invalid.
-#[must_use]
-pub fn run_baseline_stream_probed(
-    cfg: &BaselineConfig,
-    mem_cfg: &MemoryHierarchyConfig,
-    stream: &mut dyn Iterator<Item = MicroOp>,
-    max_instrs: u64,
-    probe: Option<&mut Telemetry>,
-) -> SimStats {
-    let mem = MemoryHierarchy::new(mem_cfg.clone()).expect("invalid memory configuration");
-    let mut core = OooCore::from_baseline(cfg, mem);
-    core.run_probed(stream, max_instrs, probe)
-}
-
 /// Runs `benchmark` for `max_instrs` committed instructions on the baseline
 /// configuration `cfg` with memory hierarchy `mem_cfg`.
 ///
@@ -892,12 +790,8 @@ pub fn run_baseline(
     max_instrs: u64,
     seed: u64,
 ) -> SimStats {
-    run_baseline_stream(
-        cfg,
-        mem_cfg,
-        &mut TraceGenerator::new(benchmark, seed),
-        max_instrs,
-    )
+    let mem = MemoryHierarchy::new(mem_cfg.clone()).expect("invalid memory configuration");
+    OooCore::from_baseline(cfg, mem).run(&mut TraceGenerator::new(benchmark, seed), max_instrs)
 }
 
 #[cfg(test)]
@@ -1143,7 +1037,7 @@ mod tests {
         // Fetch → dispatch → issue takes a few cycles; once something is
         // executing, a completion event must be pending.
         for _ in 0..20 {
-            core.tick(&mut trace);
+            core.tick(&mut trace, None);
             if let Some(event) = core.next_event() {
                 assert!(event > core.cycle());
                 return;

@@ -10,11 +10,13 @@
 //!   traditional KILO baseline (`dkip-kilo`),
 //! * [`core::OooCore`], a trace-driven cycle-level out-of-order pipeline
 //!   with branch prediction, dependency-driven wakeup, functional-unit and
-//!   memory-port arbitration, store-to-load forwarding and in-order commit,
+//!   memory-port arbitration, store-to-load forwarding and in-order commit;
+//!   it implements [`dkip_model::SimCore`], so [`dkip_model::drive`] runs
+//!   it like every other core,
 //! * an optional *slow lane* (WIB/SLIQ-style buffer) in the same engine,
 //!   used by the KILO-1024 baseline,
-//! * [`core::run_baseline`], the one-call entry point used by the experiment
-//!   drivers.
+//! * [`core::run_baseline`], the one-call entry point for a synthetic
+//!   benchmark on a baseline configuration.
 //!
 //! # Example
 //!
@@ -42,10 +44,7 @@ pub mod iq;
 pub mod lsq;
 pub mod rob;
 
-pub use crate::core::{
-    run_baseline, run_baseline_stream, run_baseline_stream_probed, CoreParams, CoreSnapshot,
-    OooCore, LONG_LATENCY_THRESHOLD,
-};
+pub use crate::core::{run_baseline, CoreParams, CoreSnapshot, OooCore, LONG_LATENCY_THRESHOLD};
 pub use fu::{FunctionalUnits, MemPorts};
 pub use iq::IssueQueue;
 pub use lsq::Lsq;

@@ -5,6 +5,9 @@
 //!
 //! * [`run_baseline`], [`run_kilo`] and [`run_dkip`] — one-call wrappers for
 //!   the three processor families (re-exported from the core crates),
+//! * [`Machine`] — a family with its configuration; [`Machine::build`] is
+//!   the one place a family becomes a runnable [`Core`], which every exact,
+//!   probed and sampled run drives through [`dkip_model::drive`],
 //! * [`suite_mean_ipc`] — arithmetic-mean IPC over a benchmark list, the
 //!   metric of Figures 1, 2, 9, 10, 11 and 12,
 //! * [`experiments`] — one driver function per paper figure/table, each
@@ -63,10 +66,10 @@ pub mod store;
 pub mod suites;
 pub mod workload;
 
-pub use dkip_core::{run_dkip, run_dkip_stream};
-pub use dkip_kilo::{run_kilo, run_kilo_stream};
-pub use dkip_ooo::{run_baseline, run_baseline_stream};
-pub use runner::{Job, JobFailure, JobResult, Machine, SweepReport, SweepRunner};
+pub use dkip_core::run_dkip;
+pub use dkip_kilo::run_kilo;
+pub use dkip_ooo::run_baseline;
+pub use runner::{Core, Job, JobFailure, JobResult, Machine, SweepReport, SweepRunner};
 pub use sampled::{run_sampled, SampledRun};
 pub use store::{ResultStore, ShardSpec, StoredResult, SweepCheckpoint, CACHE_ENV};
 pub use workload::{Workload, WorkloadStream};

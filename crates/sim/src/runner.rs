@@ -31,29 +31,32 @@ use std::time::{Duration, Instant};
 
 use crate::chaos::{self, FaultPoint};
 use crate::store::{ResultStore, StoredResult};
-use crate::workload::Workload;
-use dkip_core::run_dkip_stream_probed;
-use dkip_kilo::run_kilo_stream_probed;
+use crate::workload::{Workload, WorkloadStream};
+use dkip_core::DkipProcessor;
+use dkip_kilo::build_kilo_core;
+use dkip_mem::MemoryHierarchy;
 use dkip_model::config::{
     event_clock_enabled, BaselineConfig, DkipConfig, KiloConfig, MemoryHierarchyConfig,
 };
-use dkip_model::{KeyWriter, MetricsConfig, SampleConfig, SimStats, StableKey, Telemetry};
-use dkip_ooo::run_baseline_stream_probed;
+use dkip_model::{
+    drive, KeyWriter, MetricsConfig, MicroOp, SampleConfig, SimCore, SimStats, StableKey, Telemetry,
+};
+use dkip_ooo::OooCore;
 
 /// Environment variable overriding the worker-pool size.
 pub const THREADS_ENV: &str = "DKIP_THREADS";
 
 /// One of the three simulated processor families, with its configuration.
 ///
-/// A `Machine` is the "what to simulate" half of a [`Job`]; it dispatches to
-/// the matching `run_*` entry point of the owning crate.
+/// A `Machine` is the "what to simulate" half of a [`Job`];
+/// [`Machine::build`] turns it into a runnable [`Core`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Machine {
-    /// An R10000-style out-of-order baseline (`dkip_ooo::run_baseline`).
+    /// An R10000-style out-of-order baseline (`dkip_ooo::OooCore`).
     Baseline(BaselineConfig),
-    /// The traditional KILO-instruction processor (`dkip_kilo::run_kilo`).
+    /// The traditional KILO-instruction processor (`dkip_kilo::build_kilo_core`).
     Kilo(KiloConfig),
-    /// The Decoupled KILO-Instruction Processor (`dkip_core::run_dkip`).
+    /// The Decoupled KILO-Instruction Processor (`dkip_core::DkipProcessor`).
     Dkip(DkipConfig),
 }
 
@@ -78,14 +81,29 @@ impl Machine {
         }
     }
 
+    /// Builds the pristine core of this machine over a fresh memory
+    /// hierarchy. This is the one place a family becomes a core.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the memory or processor configuration is invalid.
+    #[must_use]
+    pub fn build(&self, mem: &MemoryHierarchyConfig) -> Core {
+        let mem = MemoryHierarchy::new(mem.clone()).expect("invalid memory configuration");
+        match self {
+            Machine::Baseline(cfg) => Core::Ooo(Box::new(OooCore::from_baseline(cfg, mem))),
+            Machine::Kilo(cfg) => Core::Ooo(Box::new(build_kilo_core(cfg, mem))),
+            Machine::Dkip(cfg) => Core::Dkip(Box::new(DkipProcessor::new(cfg.clone(), mem))),
+        }
+    }
+
     /// Runs this machine on one workload and returns its statistics.
     ///
     /// This is the single path every (family × workload) combination runs
-    /// through: the workload opens its [`dkip_model::MicroOp`] stream and
-    /// [`Machine::simulate_stream`] dispatches it to the matching
-    /// `run_*_stream` entry point. Synthetic benchmarks run for `budget`
-    /// committed instructions; finite execution-driven kernels run to
-    /// completion (bounded by `budget`).
+    /// through: the workload opens its [`MicroOp`] stream and
+    /// [`Machine::simulate_stream`] runs it on a freshly built core.
+    /// Synthetic benchmarks run for `budget` committed instructions; finite
+    /// execution-driven kernels run to completion (bounded by `budget`).
     #[must_use]
     pub fn simulate(
         &self,
@@ -98,39 +116,85 @@ impl Machine {
         self.simulate_stream(mem, &mut stream, budget)
     }
 
-    /// Runs this machine on an already-open [`dkip_model::MicroOp`] stream.
+    /// Runs this machine on an already-open [`MicroOp`] stream.
     ///
-    /// This is the family dispatch [`Machine::simulate`] funnels through;
-    /// the differential-fuzz harness ([`crate::fuzz`]) calls it directly so
+    /// The differential-fuzz harness ([`crate::fuzz`]) calls it directly so
     /// a generated program's [`dkip_riscv::RiscvStream`] can be inspected
     /// (final emulator state) after the core drains it.
     #[must_use]
     pub fn simulate_stream(
         &self,
         mem: &MemoryHierarchyConfig,
-        stream: &mut dyn Iterator<Item = dkip_model::MicroOp>,
+        stream: &mut dyn Iterator<Item = MicroOp>,
         budget: u64,
     ) -> SimStats {
         self.simulate_stream_probed(mem, stream, budget, None)
     }
 
     /// [`Machine::simulate_stream`] with an optional telemetry sink
-    /// attached. `None` is the exact entry point the plain dispatch takes,
-    /// so a detached probe is bit-identical to not probing at all; a sink
-    /// collects interval metrics and/or a Konata/O3PipeView pipeline trace
-    /// without perturbing the simulated statistics.
+    /// attached. A detached probe (`None`) is bit-identical to not probing
+    /// at all; a sink collects interval metrics and/or a
+    /// Konata/O3PipeView pipeline trace without perturbing the simulated
+    /// statistics.
     #[must_use]
     pub fn simulate_stream_probed(
         &self,
         mem: &MemoryHierarchyConfig,
-        stream: &mut dyn Iterator<Item = dkip_model::MicroOp>,
+        stream: &mut dyn Iterator<Item = MicroOp>,
         budget: u64,
         probe: Option<&mut Telemetry>,
     ) -> SimStats {
+        self.build(mem).run(stream, budget, probe)
+    }
+}
+
+/// A detailed core of any family, built by [`Machine::build`]. Baseline and
+/// KILO share the [`OooCore`] engine; the D-KIP has its own decoupled
+/// pipeline. Each operation dispatches once and then runs monomorphised
+/// code ([`drive`], or a whole fast-forward gap).
+///
+/// `Clone` is the snapshot: a clone continues bit-identically to the
+/// original (`tests/checkpoint_roundtrip.rs`).
+#[derive(Debug, Clone)]
+pub enum Core {
+    /// Baseline or KILO configuration on the shared out-of-order engine.
+    Ooo(Box<OooCore>),
+    /// The decoupled cache/memory-processor pipeline.
+    Dkip(Box<DkipProcessor>),
+}
+
+impl Core {
+    /// Runs the core through [`drive`] until `max_instrs` instructions have
+    /// committed in total (the bound is cumulative across calls) or a
+    /// finite stream drains, with an optional telemetry sink attached.
+    pub fn run(
+        &mut self,
+        stream: &mut dyn Iterator<Item = MicroOp>,
+        max_instrs: u64,
+        probe: Option<&mut Telemetry>,
+    ) -> SimStats {
         match self {
-            Machine::Baseline(cfg) => run_baseline_stream_probed(cfg, mem, stream, budget, probe),
-            Machine::Kilo(cfg) => run_kilo_stream_probed(cfg, mem, stream, budget, probe),
-            Machine::Dkip(cfg) => run_dkip_stream_probed(cfg, mem, stream, budget, probe),
+            Core::Ooo(core) => drive(core.as_mut(), stream, max_instrs, probe),
+            Core::Dkip(proc_) => drive(proc_.as_mut(), stream, max_instrs, probe),
+        }
+    }
+
+    /// The core's current cycle count.
+    #[must_use]
+    pub fn cycle(&self) -> u64 {
+        match self {
+            Core::Ooo(core) => core.cycle(),
+            Core::Dkip(proc_) => proc_.cycle(),
+        }
+    }
+
+    /// Fast-forwards `stream` by up to `n` instructions, functionally
+    /// warming this core's caches and predictor with each one, and returns
+    /// how many were skipped (fewer only when a finite stream ends).
+    pub fn warm_forward(&mut self, stream: &mut WorkloadStream, n: u64) -> u64 {
+        match self {
+            Core::Ooo(core) => stream.warm_forward(n, core.as_mut()),
+            Core::Dkip(proc_) => stream.warm_forward(n, proc_.as_mut()),
         }
     }
 }

@@ -22,10 +22,9 @@
 //!   branch predictor, statistics — straight across the fast-forward gap,
 //!   while no stale in-flight pipeline state can leak into the next
 //!   measurement (the skipped instructions were never simulated in detail).
-//!   Nothing is copied between periods: the architectural-state checkpoint
-//!   API ([`dkip_ooo::OooCore::snapshot`] /
-//!   [`dkip_core::DkipProcessor::snapshot`]) stays the tested way to fork a
-//!   core (`tests/checkpoint_roundtrip.rs`), but sampling does not need it.
+//!   Nothing is copied between periods: cloning a [`Core`] stays the
+//!   tested way to fork one (`tests/checkpoint_roundtrip.rs`), but
+//!   sampling does not need it.
 //! * The warmup instructions re-prime the pipeline and refresh the warm
 //!   state before measurement starts; they are simulated in detail but
 //!   excluded from the estimate.
@@ -52,75 +51,11 @@
 //! reference: `tests/sampled_accuracy.rs` pins the sampled estimate to a
 //! small relative-error band against exact IPC on every golden suite.
 
-use dkip_core::DkipProcessor;
-use dkip_kilo::build_kilo_core;
-use dkip_mem::MemoryHierarchy;
 use dkip_model::config::MemoryHierarchyConfig;
 use dkip_model::{IpcEstimate, MicroOp, SampleConfig, SampleEstimator, SimStats, WindowSample};
-use dkip_ooo::OooCore;
 
-use crate::runner::Machine;
+use crate::runner::{Core, Machine};
 use crate::workload::WorkloadStream;
-
-/// A detailed-simulation core of any of the three families, unified behind
-/// the two operations sampling needs: "run until N committed" and "what
-/// cycle is it". Baseline and KILO share the [`OooCore`] engine; the D-KIP
-/// has its own decoupled pipeline.
-#[derive(Debug)]
-enum SampleCore {
-    /// Baseline or KILO configuration on the shared out-of-order engine.
-    Ooo(Box<OooCore>),
-    /// The decoupled cache/memory-processor pipeline.
-    Dkip(Box<DkipProcessor>),
-}
-
-impl SampleCore {
-    /// Builds the pristine (reset) core for `machine`, which then runs
-    /// every period of the job.
-    fn build(machine: &Machine, mem_cfg: &MemoryHierarchyConfig) -> SampleCore {
-        let mem = MemoryHierarchy::new(mem_cfg.clone()).expect("invalid memory configuration");
-        match machine {
-            Machine::Baseline(cfg) => SampleCore::Ooo(Box::new(OooCore::from_baseline(cfg, mem))),
-            Machine::Kilo(cfg) => SampleCore::Ooo(Box::new(build_kilo_core(cfg, mem))),
-            Machine::Dkip(cfg) => SampleCore::Dkip(Box::new(DkipProcessor::new(cfg.clone(), mem))),
-        }
-    }
-
-    /// Runs until `max_instrs` instructions have committed in total (the
-    /// bound is cumulative across calls, like the underlying cores').
-    fn run(&mut self, stream: &mut dyn Iterator<Item = MicroOp>, max_instrs: u64) -> SimStats {
-        match self {
-            SampleCore::Ooo(core) => core.run(stream, max_instrs),
-            SampleCore::Dkip(proc_) => proc_.run(stream, max_instrs),
-        }
-    }
-
-    /// Commits everything still in flight by running against an exhausted
-    /// stream. A drained pipeline is the precondition for skipping ahead:
-    /// the ops after the fast-forward gap carry discontinuous sequence
-    /// numbers, which an empty ROB accepts.
-    fn drain(&mut self) -> SimStats {
-        self.run(&mut std::iter::empty(), u64::MAX)
-    }
-
-    /// The core's current cycle count.
-    fn cycle(&self) -> u64 {
-        match self {
-            SampleCore::Ooo(core) => core.cycle(),
-            SampleCore::Dkip(proc_) => proc_.cycle(),
-        }
-    }
-
-    /// Fast-forwards `stream` by up to `n` instructions, functionally
-    /// warming this core's caches and predictor with each one, and returns
-    /// how many were skipped (fewer only when a finite stream ends).
-    fn warm_forward(&mut self, stream: &mut WorkloadStream, n: u64) -> u64 {
-        match self {
-            SampleCore::Ooo(core) => stream.warm_forward(n, core.as_mut()),
-            SampleCore::Dkip(proc_) => stream.warm_forward(n, proc_.as_mut()),
-        }
-    }
-}
 
 /// The outcome of one sampled simulation ([`run_sampled`]).
 #[derive(Debug, Clone, PartialEq)]
@@ -217,19 +152,11 @@ pub fn run_sampled(
     budget: u64,
     sample: &SampleConfig,
 ) -> SampledRun {
-    run_periods(
-        machine,
-        mem_cfg,
-        stream,
-        budget,
-        sample,
-        SampleCore::warm_forward,
-    )
-    .0
+    run_periods(machine, mem_cfg, stream, budget, sample, Core::warm_forward).0
 }
 
 /// The period loop of [`run_sampled`], with the fast-forward step `gap`
-/// (`SampleCore::warm_forward`, or a reference model in the tests) as a
+/// ([`Core::warm_forward`], or a reference model in the tests) as a
 /// parameter. Also returns the core's statistics after its final drain.
 fn run_periods(
     machine: &Machine,
@@ -237,10 +164,10 @@ fn run_periods(
     stream: &mut WorkloadStream,
     budget: u64,
     sample: &SampleConfig,
-    mut gap: impl FnMut(&mut SampleCore, &mut WorkloadStream, u64) -> u64,
+    mut gap: impl FnMut(&mut Core, &mut WorkloadStream, u64) -> u64,
 ) -> (SampledRun, SimStats) {
     sample.validate().expect("invalid sampling rate");
-    let mut core = SampleCore::build(machine, mem_cfg);
+    let mut core = machine.build(mem_cfg);
     let mut estimator = SampleEstimator::new();
     let mut counted = CountedStream {
         inner: stream,
@@ -260,7 +187,7 @@ fn run_periods(
         // statistics; empty pipeline) runs the warmup, then the measured
         // window, on the live stream.
         let warm_committed = if sample.warmup > 0 {
-            core.run(&mut counted, committed_base + sample.warmup)
+            core.run(&mut counted, committed_base + sample.warmup, None)
                 .committed
                 - committed_base
         } else {
@@ -268,7 +195,7 @@ fn run_periods(
         };
         let warm_cycle = core.cycle();
         let detailed_target = sample.warmup + sample.window;
-        let stats = core.run(&mut counted, committed_base + detailed_target);
+        let stats = core.run(&mut counted, committed_base + detailed_target, None);
         let window_committed = stats.committed - committed_base - warm_committed;
         let window_cycles = core.cycle() - warm_cycle;
         if window_committed > 0 {
@@ -279,9 +206,10 @@ fn run_periods(
             });
         }
         let exhausted = stats.committed - committed_base < detailed_target;
-        // Drain the in-flight tail so the next window's post-gap ops enter
-        // an empty pipeline.
-        drained = core.drain();
+        // Drain the in-flight tail by running against an exhausted stream,
+        // so the next window's post-gap ops (whose sequence numbers are
+        // discontinuous) enter an empty pipeline.
+        drained = core.run(&mut std::iter::empty(), u64::MAX, None);
         committed_base = drained.committed;
         if exhausted {
             break; // finite stream ended inside the detailed portion
@@ -396,15 +324,15 @@ mod tests {
     /// `run_sampled` used before warming moved into the instruction
     /// sources. Every skipped op is built by the stream iterator and
     /// handed to the core's `warm_op`.
-    fn per_op_gap(core: &mut SampleCore, stream: &mut WorkloadStream, want: u64) -> u64 {
+    fn per_op_gap(core: &mut Core, stream: &mut WorkloadStream, want: u64) -> u64 {
         let mut skipped = 0u64;
         while skipped < want {
             let Some(op) = stream.next() else {
                 break;
             };
             match core {
-                SampleCore::Ooo(core) => core.warm_op(&op),
-                SampleCore::Dkip(proc_) => proc_.warm_op(&op),
+                Core::Ooo(core) => core.warm_op(&op),
+                Core::Dkip(proc_) => proc_.warm_op(&op),
             }
             skipped += 1;
         }
@@ -427,7 +355,7 @@ mod tests {
             &mut fast,
             job.budget,
             sample,
-            |core: &mut SampleCore, stream: &mut WorkloadStream, want| {
+            |core: &mut Core, stream: &mut WorkloadStream, want| {
                 let skipped = core.warm_forward(stream, want);
                 short_gap = skipped < want;
                 skipped

@@ -12,17 +12,16 @@
 //! * the uninterrupted reference is computed with the [`SweepRunner`] at
 //!   1 and 8 worker threads (and the two must agree, as everywhere else),
 //! * the interrupted run simulates to roughly half the reference's
-//!   committed count, snapshots, restores into a core built from scratch,
+//!   committed count, snapshots (a `Core` clone, the same deep copy as
+//!   the cores' own `snapshot`), restores into a core built from scratch,
 //!   and continues on the same partially-consumed stream,
 //! * the continuation's final [`SimStats::to_kv`] serialisation must equal
 //!   the reference's byte for byte.
 
 use dkip::dkip::DkipProcessor;
-use dkip::kilo::build_kilo_core;
 use dkip::mem::MemoryHierarchy;
 use dkip::model::config::MemoryHierarchyConfig;
 use dkip::model::SimStats;
-use dkip::ooo::OooCore;
 use dkip::sim::runner::{Job, Machine};
 use dkip::sim::{suites, SweepRunner};
 
@@ -35,35 +34,13 @@ fn hierarchy(cfg: &MemoryHierarchyConfig) -> MemoryHierarchy {
 /// statistics of the continuation.
 fn run_interrupted(job: &Job, midpoint: u64) -> SimStats {
     let mut stream = job.workload.stream(job.seed);
-    match &job.machine {
-        Machine::Baseline(cfg) => {
-            let mut first = OooCore::from_baseline(cfg, hierarchy(&job.mem));
-            let _ = first.run(&mut stream, midpoint);
-            let snapshot = first.snapshot();
-            drop(first);
-            let mut fresh = OooCore::from_baseline(cfg, hierarchy(&job.mem));
-            fresh.restore(&snapshot);
-            fresh.run(&mut stream, job.budget)
-        }
-        Machine::Kilo(cfg) => {
-            let mut first = build_kilo_core(cfg, hierarchy(&job.mem));
-            let _ = first.run(&mut stream, midpoint);
-            let snapshot = first.snapshot();
-            drop(first);
-            let mut fresh = build_kilo_core(cfg, hierarchy(&job.mem));
-            fresh.restore(&snapshot);
-            fresh.run(&mut stream, job.budget)
-        }
-        Machine::Dkip(cfg) => {
-            let mut first = DkipProcessor::new(cfg.clone(), hierarchy(&job.mem));
-            let _ = first.run(&mut stream, midpoint);
-            let snapshot = first.snapshot();
-            drop(first);
-            let mut fresh = DkipProcessor::new(cfg.clone(), hierarchy(&job.mem));
-            fresh.restore(&snapshot);
-            fresh.run(&mut stream, job.budget)
-        }
-    }
+    let mut first = job.machine.build(&job.mem);
+    let _ = first.run(&mut stream, midpoint, None);
+    let snapshot = first.clone();
+    drop(first);
+    let mut fresh = job.machine.build(&job.mem);
+    fresh.clone_from(&snapshot);
+    fresh.run(&mut stream, job.budget, None)
 }
 
 /// Round-trips every job of one golden suite against SweepRunner references
