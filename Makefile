@@ -75,8 +75,10 @@ bench-build:
 	CARGO_TARGET_DIR=$(BENCH_BUILD_DIR) cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 ## Simulator-throughput harness: times every core family on Spec and RISC-V
-## workloads and writes BENCH_sim_throughput.json (MIPS + cycles/sec per
-## family/workload). See EXPERIMENTS.md "Measuring simulator throughput".
+## workloads and writes target/BENCH_sim_throughput.json (MIPS + cycles/sec
+## per family/workload). Only an explicit out= rewrites the committed
+## report: `./target/release/perf out=BENCH_sim_throughput.json`.
+## See EXPERIMENTS.md "Measuring simulator throughput".
 perf: build
 	./target/release/perf
 

@@ -1,6 +1,6 @@
 //! Simulator-throughput harness: times every core family on Spec and RISC-V
-//! workloads and writes `BENCH_sim_throughput.json` (see
-//! `dkip_bench::throughput`).
+//! workloads and writes `target/BENCH_sim_throughput.json`, or the file
+//! `out=` names (see `dkip_bench::throughput`).
 //!
 //! Usage (all arguments optional, any order):
 //!

@@ -14,14 +14,14 @@ use dkip_model::FastHashMap;
 /// threshold `⌊1.93·h + 14⌋` recommended by the original paper.
 ///
 /// The predictor sits on the dispatch/writeback hot path of every core
-/// family, so the table is stored as one flat row-major weight array (no
-/// per-perceptron `Vec` indirection) and the in-flight outputs live in a
-/// deterministic [`FastHashMap`].
+/// family, so the table is one flat row-major array of `i8` weights, the
+/// dot product and training are branch-free, and the in-flight outputs
+/// live in a deterministic [`FastHashMap`].
 #[derive(Debug, Clone)]
 pub struct PerceptronPredictor {
     /// Row-major table: perceptron `i` occupies
     /// `weights[i * (history_len + 1) ..][..history_len + 1]`, bias first.
-    weights: Vec<i32>,
+    weights: Vec<i8>,
     table_size: usize,
     history: u64,
     history_len: usize,
@@ -87,24 +87,25 @@ impl PerceptronPredictor {
     }
 
     /// The weight row of perceptron `idx` (bias first).
-    fn row(&self, idx: usize) -> &[i32] {
+    fn row(&self, idx: usize) -> &[i8] {
         let stride = self.history_len + 1;
         &self.weights[idx * stride..(idx + 1) * stride]
     }
 
     /// Mutable form of [`PerceptronPredictor::row`].
-    fn row_mut(&mut self, idx: usize) -> &mut [i32] {
+    fn row_mut(&mut self, idx: usize) -> &mut [i8] {
         let stride = self.history_len + 1;
         &mut self.weights[idx * stride..(idx + 1) * stride]
     }
 
     fn output(&self, pc: u64) -> i32 {
         let perceptron = self.row(self.index(pc));
-        let mut y = perceptron[0];
+        let mut y = i32::from(perceptron[0]);
         for (bit, &weight) in perceptron[1..].iter().enumerate() {
-            // history bit 1 → +weight, 0 → -weight (branchless ±1 encode).
-            let h = ((self.history >> bit) & 1) as i32 * 2 - 1;
-            y += weight * h;
+            // History bit 1 adds the weight, 0 subtracts it: `m` is 0 or -1,
+            // and `(w ^ m) - m` is `w` or `-w`.
+            let m = ((self.history >> bit) & 1) as i32 - 1;
+            y += (i32::from(weight) ^ m) - m;
         }
         y
     }
@@ -114,25 +115,21 @@ impl PerceptronPredictor {
     /// otherwise outline it from `update`, the detailed path.
     #[inline(always)]
     fn train(&mut self, pc: u64, taken: bool, seen_history: u64) {
-        let idx = self.index(pc);
-        let t = if taken { 1 } else { -1 };
-        let perceptron = self.row_mut(idx);
-        Self::saturating_adjust(&mut perceptron[0], t);
+        // Each weight moves up where its history bit agrees with the
+        // outcome and down where it does not; the bias sees a `1` bit.
+        let agree = if taken { seen_history } else { !seen_history };
+        let perceptron = self.row_mut(self.index(pc));
+        perceptron[0] = perceptron[0].saturating_add(if taken { 1 } else { -1 });
         for (bit, weight) in perceptron[1..].iter_mut().enumerate() {
-            let h = ((seen_history >> bit) & 1) as i32 * 2 - 1;
-            Self::saturating_adjust(weight, t * h);
+            *weight = weight.saturating_add(((agree >> bit) & 1) as i8 * 2 - 1);
         }
     }
 
-    fn saturating_adjust(weight: &mut i32, direction: i32) {
-        *weight = (*weight + direction).clamp(Self::WEIGHT_MIN, Self::WEIGHT_MAX);
-    }
-
     /// Largest value any weight may reach (8-bit signed saturation).
-    pub const WEIGHT_MAX: i32 = 127;
+    pub const WEIGHT_MAX: i32 = i8::MAX as i32;
 
     /// Smallest value any weight may reach (8-bit signed saturation).
-    pub const WEIGHT_MIN: i32 = -128;
+    pub const WEIGHT_MIN: i32 = i8::MIN as i32;
 
     /// The largest weight magnitude currently stored in any perceptron.
     ///
@@ -141,7 +138,9 @@ impl PerceptronPredictor {
     /// exceeds 128; the property tests assert exactly that bound.
     #[must_use]
     pub fn max_abs_weight(&self) -> i32 {
-        self.weights.iter().map(|w| w.abs()).max().unwrap_or(0)
+        // Widened first: `i8::abs(-128)` overflows.
+        let widened = self.weights.iter().map(|&w| i32::from(w));
+        widened.map(i32::abs).max().unwrap_or(0)
     }
 }
 
@@ -211,6 +210,100 @@ impl BranchPredictor for PerceptronPredictor {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The `i32`-weight predictor the 8-bit table replaced, kept as the
+    /// reference model: weights clamped into `[WEIGHT_MIN, WEIGHT_MAX]`
+    /// after each step, a multiply by the ±1-encoded history bit in the dot
+    /// product, and a `±1` training direction per weight.
+    struct ReferencePerceptron {
+        weights: Vec<i32>,
+        table_size: usize,
+        history: u64,
+        history_len: usize,
+        threshold: i32,
+        stats: PredStats,
+        last_outputs: FastHashMap<u64, i32>,
+    }
+
+    impl ReferencePerceptron {
+        fn new(table_size: usize, history_len: usize) -> Self {
+            let table_size = table_size.next_power_of_two();
+            ReferencePerceptron {
+                weights: vec![0; table_size * (history_len + 1)],
+                table_size,
+                history: 0,
+                history_len,
+                threshold: (1.93 * history_len as f64 + 14.0).floor() as i32,
+                stats: PredStats::default(),
+                last_outputs: FastHashMap::default(),
+            }
+        }
+
+        fn row(&mut self, pc: u64) -> &mut [i32] {
+            let idx = (((pc >> 2) ^ (pc >> 13)) as usize) & (self.table_size - 1);
+            let stride = self.history_len + 1;
+            &mut self.weights[idx * stride..(idx + 1) * stride]
+        }
+
+        fn output(&mut self, pc: u64) -> i32 {
+            let history = self.history;
+            let perceptron = self.row(pc);
+            let mut y = perceptron[0];
+            for (bit, &weight) in perceptron[1..].iter().enumerate() {
+                let h = ((history >> bit) & 1) as i32 * 2 - 1;
+                y += weight * h;
+            }
+            y
+        }
+
+        fn train(&mut self, pc: u64, taken: bool, seen_history: u64) {
+            let t = if taken { 1 } else { -1 };
+            let adjust = |weight: &mut i32, direction: i32| {
+                *weight = (*weight + direction).clamp(
+                    PerceptronPredictor::WEIGHT_MIN,
+                    PerceptronPredictor::WEIGHT_MAX,
+                );
+            };
+            let perceptron = self.row(pc);
+            adjust(&mut perceptron[0], t);
+            for (bit, weight) in perceptron[1..].iter_mut().enumerate() {
+                adjust(weight, t * (((seen_history >> bit) & 1) as i32 * 2 - 1));
+            }
+        }
+
+        fn predict(&mut self, pc: u64) -> bool {
+            self.stats.predictions += 1;
+            let y = self.output(pc);
+            self.last_outputs.insert(pc, y);
+            self.history = (self.history << 1) | u64::from(y >= 0);
+            y >= 0
+        }
+
+        fn update(&mut self, pc: u64, taken: bool, predicted: bool) {
+            if taken != predicted {
+                self.stats.mispredictions += 1;
+                self.history = (self.history & !1) | u64::from(taken);
+            }
+            let y = self.last_outputs.remove(&pc).unwrap_or(0);
+            if taken != predicted || y.abs() <= self.threshold {
+                self.train(pc, taken, self.history >> 1);
+            }
+        }
+
+        fn warm(&mut self, pc: u64, taken: bool) {
+            self.stats.predictions += 1;
+            let y = self.output(pc);
+            let predicted = y >= 0;
+            if taken != predicted {
+                self.stats.mispredictions += 1;
+            }
+            self.last_outputs.remove(&pc);
+            self.history = (self.history << 1) | u64::from(taken);
+            if taken != predicted || y.abs() <= self.threshold {
+                self.train(pc, taken, self.history >> 1);
+            }
+        }
+    }
 
     #[test]
     fn threshold_follows_the_published_formula() {
@@ -294,6 +387,18 @@ mod tests {
     }
 
     #[test]
+    fn max_abs_weight_of_a_weight_saturated_at_the_minimum_is_128() {
+        let mut p = PerceptronPredictor::new(1, 1);
+        // Not taken against a claimed taken prediction: every update trains
+        // and walks the bias down one step.
+        for _ in 0..200 {
+            p.update(0x4000, false, true);
+        }
+        assert_eq!(p.weights[0], i8::MIN);
+        assert_eq!(p.max_abs_weight(), 128);
+    }
+
+    #[test]
     #[should_panic(expected = "history_len")]
     fn zero_history_is_rejected() {
         let _ = PerceptronPredictor::new(16, 0);
@@ -340,6 +445,57 @@ mod tests {
             for slot in 0..48 {
                 prop_assert_eq!(warmed.predict(pc(slot)), paired.predict(pc(slot)), "next prediction at slot {}", slot);
             }
+        }
+
+        /// The 8-bit predictor is observationally identical to the `i32`
+        /// reference on any interleaving of `predict`, `update` (with any
+        /// claimed prediction, so training can be forced) and `warm`, any
+        /// table size and any history length. Every stream starts by
+        /// driving weights into both saturation bounds: forced taken
+        /// updates push the bias and every weight to `WEIGHT_MAX`, then
+        /// alternating outcomes push the weight of history bit 0 to
+        /// `WEIGHT_MIN`.
+        #[test]
+        fn matches_the_i32_reference_model(
+            table_size in 1usize..300,
+            history_len in (0u32..4, 1usize..65).prop_map(|(pick, h)| if pick == 0 { 64 } else { h }),
+            ops in proptest::collection::vec((0u8..3, 0u64..8, any::<bool>(), any::<bool>()), 1..400),
+        ) {
+            let pc = |slot: u64| 0x1000 + slot * 4;
+            let mut fast = PerceptronPredictor::new(table_size, history_len);
+            let mut reference = ReferencePerceptron::new(table_size, history_len);
+            let saturate = |steps: u32, taken: fn(u32) -> bool| {
+                (0..steps).flat_map(move |i| [(0, 0, false, false), (1, 0, taken(i), !taken(i))])
+            };
+            let prologue = saturate(300, |_| true).chain(saturate(400, |i| i % 2 == 0));
+            let prologue_len = 2 * (300 + 400);
+            let (mut reached_max, mut reached_min) = (false, false);
+            for (i, (op, slot, taken, predicted)) in prologue.chain(ops.iter().copied()).enumerate() {
+                match op {
+                    0 => prop_assert_eq!(fast.predict(pc(slot)), reference.predict(pc(slot)), "op {}", i),
+                    1 => {
+                        fast.update(pc(slot), taken, predicted);
+                        reference.update(pc(slot), taken, predicted);
+                    }
+                    _ => {
+                        fast.warm(pc(slot), taken);
+                        reference.warm(pc(slot), taken);
+                    }
+                }
+                if i < prologue_len {
+                    let row = reference.row(pc(0));
+                    reached_max |= row.contains(&PerceptronPredictor::WEIGHT_MAX);
+                    reached_min |= row.contains(&PerceptronPredictor::WEIGHT_MIN);
+                }
+            }
+            prop_assert!(reached_max && reached_min, "the prologue saturates both ways");
+            prop_assert_eq!(fast.predictions(), reference.stats.predictions);
+            prop_assert_eq!(fast.mispredictions(), reference.stats.mispredictions);
+            prop_assert_eq!(fast.history, reference.history);
+            prop_assert_eq!(&fast.last_outputs, &reference.last_outputs);
+            let widened: Vec<i32> = fast.weights.iter().map(|&w| i32::from(w)).collect();
+            prop_assert_eq!(&widened, &reference.weights);
+            prop_assert_eq!(fast.max_abs_weight(), reference.weights.iter().map(|w| w.abs()).max().unwrap());
         }
     }
 }

@@ -7,11 +7,13 @@ use dkip_model::ConfigError;
 /// The cache only models *presence* (hit/miss); data values are never
 /// stored because the simulator is timing-only.
 ///
-/// The tag store is two flat arrays in set-major order (way `w` of set `s`
-/// at index `s * assoc + w`): the block tag of every way, and its LRU
-/// timestamp, where a timestamp of `0` marks an invalid way. Sets are
-/// indexed with a mask and a shift when the set count is a power of two,
-/// and with `%` and `/` otherwise.
+/// The tag store is one flat array in set-major order: set `s` occupies
+/// `keys[s * assoc..][..assoc]`, kept in recency order, most recently used
+/// way first. A way holds its block's tag plus one, so `0` marks an empty
+/// way and a zeroed allocation is an empty cache. Empty ways always sit at
+/// the tail of their set, behind the valid ones. Sets are indexed with a
+/// mask and a shift when the set count is a power of two, and with `%` and
+/// `/` otherwise.
 ///
 /// # Example
 ///
@@ -25,18 +27,15 @@ use dkip_model::ConfigError;
 /// ```
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
-    /// Block tag held by every way (meaningful only while the way is valid).
-    tags: Vec<u64>,
-    /// Access tick of every way's last use; `0` marks an invalid way, which
-    /// also makes it the first LRU victim.
-    last_use: Vec<u64>,
+    /// Tag plus one of every way, each set most recently used first; `0`
+    /// marks an empty way.
+    keys: Vec<u64>,
     num_sets: usize,
     assoc: usize,
     line_shift: u32,
     /// `log2(num_sets)` when the set count is a power of two (mask-and-shift
     /// indexing), `None` otherwise.
     set_bits: Option<u32>,
-    tick: u64,
     hits: u64,
     misses: u64,
 }
@@ -48,8 +47,10 @@ impl SetAssocCache {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] if the line size is not a power of two, the
-    /// associativity is zero, or the size is not a positive multiple of
-    /// `line_size * assoc`.
+    /// associativity is zero, the size is not a positive multiple of
+    /// `line_size * assoc`, or the cache has one set of 1-byte lines (its
+    /// tags would span all 64 address bits, leaving no key for an empty
+    /// way).
     pub fn new(size_bytes: usize, assoc: usize, line_size: usize) -> Result<Self, ConfigError> {
         if !line_size.is_power_of_two() || line_size == 0 {
             return Err(ConfigError::new(
@@ -67,57 +68,57 @@ impl SetAssocCache {
             ));
         }
         let num_sets = size_bytes / (line_size * assoc);
+        if num_sets == 1 && line_size == 1 {
+            return Err(ConfigError::new(
+                "line_size",
+                "must be at least 2 bytes in a single-set cache",
+            ));
+        }
         Ok(SetAssocCache {
-            tags: vec![0; num_sets * assoc],
-            last_use: vec![0; num_sets * assoc],
+            keys: vec![0; num_sets * assoc],
             num_sets,
             assoc,
             line_shift: line_size.trailing_zeros(),
             set_bits: num_sets
                 .is_power_of_two()
                 .then(|| num_sets.trailing_zeros()),
-            tick: 0,
             hits: 0,
             misses: 0,
         })
     }
 
-    /// The index of `addr`'s set's first way, and the block's tag.
+    /// The index of `addr`'s set's first way, and the block's key (its tag
+    /// plus one, never `0`: `new` rules out 64-bit tags).
     #[inline]
-    fn set_and_tag(&self, addr: u64) -> (usize, u64) {
+    fn set_and_key(&self, addr: u64) -> (usize, u64) {
         let block = addr >> self.line_shift;
         let (set, tag) = match self.set_bits {
             Some(bits) => (block & ((1 << bits) - 1), block >> bits),
             None => (block % self.num_sets as u64, block / self.num_sets as u64),
         };
-        (set as usize * self.assoc, tag)
+        (set as usize * self.assoc, tag + 1)
     }
 
-    /// Accesses `addr`; returns `true` on a hit. On a miss the block is
-    /// allocated (write-allocate for stores), replacing the first invalid
-    /// way, or else the LRU way. Loads and stores update the tag store
-    /// alike: with no data modelled there is no dirty state to track.
+    /// Accesses `addr`; returns `true` on a hit. A hit moves its way to the
+    /// front of the set. A miss allocates the block at the front
+    /// (write-allocate for stores) and drops the tail way: the LRU way, or
+    /// an empty one while the set is not yet full. Loads and stores update
+    /// the tag store alike: with no data modelled there is no dirty state
+    /// to track.
     pub fn access(&mut self, addr: u64, _is_write: bool) -> bool {
-        self.tick += 1;
-        let (base, tag) = self.set_and_tag(addr);
-        let tags = &mut self.tags[base..base + self.assoc];
-        let last_use = &mut self.last_use[base..base + self.assoc];
-        // One pass finds a hit or, failing that, the victim: the first way
-        // with the smallest timestamp (invalid ways, at 0, come first).
-        let mut victim = 0;
-        for way in 0..tags.len() {
-            if last_use[way] != 0 && tags[way] == tag {
-                last_use[way] = self.tick;
+        let (base, key) = self.set_and_key(addr);
+        // One pass shifts the set down a way at a time, carrying the key
+        // into the front, until it picks up the key's old way (a hit) or
+        // falls off the tail (a miss).
+        let mut carried = key;
+        for way in &mut self.keys[base..base + self.assoc] {
+            carried = std::mem::replace(way, carried);
+            if carried == key {
                 self.hits += 1;
                 return true;
             }
-            if last_use[way] < last_use[victim] {
-                victim = way;
-            }
         }
         self.misses += 1;
-        tags[victim] = tag;
-        last_use[victim] = self.tick;
         false
     }
 
@@ -125,17 +126,13 @@ impl SetAssocCache {
     /// state or statistics.
     #[must_use]
     pub fn contains(&self, addr: u64) -> bool {
-        let (base, tag) = self.set_and_tag(addr);
-        let ways = base..base + self.assoc;
-        self.tags[ways.clone()]
-            .iter()
-            .zip(&self.last_use[ways])
-            .any(|(&way_tag, &used)| used != 0 && way_tag == tag)
+        let (base, key) = self.set_and_key(addr);
+        self.keys[base..base + self.assoc].contains(&key)
     }
 
     /// Invalidates every line in the cache (used between benchmark runs).
     pub fn invalidate_all(&mut self) {
-        self.last_use.fill(0);
+        self.keys.fill(0);
     }
 
     /// Number of sets.
@@ -191,7 +188,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The straightforward nested-`Vec` LRU cache the flat tag arrays
+    /// The straightforward nested-`Vec` LRU cache the flat tag store
     /// replaced, kept as the reference model: one `Vec` of optional lines
     /// per set, `%`/`/` set indexing, and a victim search that prefers the
     /// first invalid way over the least recently used one.
@@ -279,7 +276,7 @@ mod tests {
         #[test]
         fn flat_cache_matches_the_reference_model(
             num_sets in 1usize..17,
-            assoc in 1usize..9,
+            assoc in 1usize..17,
             line_shift in 4u32..8,
             stream in proptest::collection::vec((0u64..(1 << 14), 0u64..4, any::<bool>()), 1..400),
         ) {
@@ -320,6 +317,85 @@ mod tests {
         assert!(SetAssocCache::new(32 * 1024, 0, 64).is_err());
         assert!(SetAssocCache::new(32 * 1024, 4, 48).is_err());
         assert!(SetAssocCache::new(1000, 4, 64).is_err());
+    }
+
+    /// Keys are tags plus one, so the widest tags sit at the edge of the
+    /// empty-way encoding. One set of 1-byte lines would make the tag of
+    /// `u64::MAX` wrap to the empty key; `new` refuses that geometry, and
+    /// the widest geometries it accepts keep `u64::MAX` and `0` apart from
+    /// empty ways and from each other.
+    #[test]
+    fn widest_tags_do_not_alias_empty_ways() {
+        assert!(
+            SetAssocCache::new(4, 4, 1).is_err(),
+            "one set of 1-byte lines"
+        );
+        // One set of 2-byte lines, and two sets of 1-byte lines: 63-bit tags.
+        for (size, line) in [(8, 2), (8, 1)] {
+            let mut cache = SetAssocCache::new(size, 4, line).unwrap();
+            assert!(!cache.contains(u64::MAX));
+            assert!(!cache.access(u64::MAX, false), "cold miss");
+            assert!(cache.access(u64::MAX, false));
+            assert!(!cache.contains(0));
+            assert!(!cache.access(0, false), "tag 0 is not an empty way");
+            assert!(cache.access(0, false));
+            assert!(cache.contains(u64::MAX));
+            assert_eq!((cache.hits(), cache.misses()), (2, 2));
+        }
+    }
+
+    #[test]
+    fn contains_on_an_empty_set_is_false() {
+        let mut cache = SetAssocCache::new(256, 2, 64).unwrap();
+        for addr in [0, 0x40, 0x80, u64::MAX] {
+            assert!(!cache.contains(addr), "{addr:#x}");
+        }
+        // Filling set 0 leaves set 1 empty.
+        cache.access(0x000, false);
+        cache.access(0x080, false);
+        assert!(cache.contains(0x000) && cache.contains(0x080));
+        assert!(!cache.contains(0x040));
+        assert!(!cache.contains(0x0c0));
+        assert_eq!(cache.hits() + cache.misses(), 2, "contains counts nothing");
+    }
+
+    /// After `invalidate_all` a full set refills from empty ways and then
+    /// replaces in LRU order again: a hit moves its way to the front, and
+    /// a miss evicts the tail.
+    #[test]
+    fn refill_after_invalidate_all_restores_lru_order() {
+        // One 4-way set of 64-byte lines; block `b` lives at `b * 64`.
+        let mut cache = SetAssocCache::new(256, 4, 64).unwrap();
+        let block = |b: u64| b * 64;
+        for b in 0..4 {
+            cache.access(block(b), false);
+        }
+        cache.invalidate_all();
+        for b in 0..4 {
+            assert!(!cache.contains(block(b)), "block {b} survived");
+        }
+        for b in 10..14 {
+            assert!(!cache.access(block(b), false), "refill of block {b}");
+        }
+        // Recency now runs 13, 12, 11, 10; touching 11 makes it 11, 13, 12, 10.
+        assert!(cache.access(block(11), false));
+        assert!(
+            (10..14).all(|b| cache.contains(block(b))),
+            "a hit keeps every way"
+        );
+        assert!(!cache.access(block(20), false)); // evicts 10
+        assert!(!cache.access(block(21), false)); // evicts 12
+        for (b, resident) in [
+            (10, false),
+            (11, true),
+            (12, false),
+            (13, true),
+            (20, true),
+            (21, true),
+        ] {
+            assert_eq!(cache.contains(block(b)), resident, "block {b}");
+        }
+        assert_eq!((cache.hits(), cache.misses()), (1, 10));
     }
 
     #[test]

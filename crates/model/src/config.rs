@@ -415,7 +415,8 @@ impl MemoryHierarchyConfig {
     /// Returns a [`ConfigError`] describing the first violated constraint:
     /// latencies must be positive and non-decreasing down the hierarchy, the
     /// line size must be a power of two, and cache sizes must be a multiple
-    /// of `line_size * assoc`.
+    /// of `line_size * assoc` (and not one set of 1-byte lines, whose tags
+    /// would fill all 64 address bits).
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.l1_latency == 0 {
             return Err(ConfigError::new("l1_latency", "must be positive"));
@@ -447,6 +448,12 @@ impl MemoryHierarchyConfig {
                     return Err(ConfigError::new(
                         field,
                         "must be a positive multiple of line_size * associativity",
+                    ));
+                }
+                if self.line_size == 1 && size == assoc {
+                    return Err(ConfigError::new(
+                        field,
+                        "one set of 1-byte lines is unsupported",
                     ));
                 }
             }
@@ -1265,6 +1272,13 @@ mod tests {
         let mut cfg = MemoryHierarchyConfig::mem_400();
         cfg.memory_latency = 5; // below L2 latency
         assert!(cfg.validate().is_err());
+
+        let mut cfg = MemoryHierarchyConfig::mem_400();
+        cfg.line_size = 1;
+        cfg.l1_size = Some(cfg.l1_assoc); // one set of 1-byte lines
+        assert!(cfg.validate().is_err());
+        cfg.l1_size = Some(2 * cfg.l1_assoc);
+        assert!(cfg.validate().is_ok());
 
         assert!(MemoryHierarchyConfig::mem_400().validate().is_ok());
         assert!(MemoryHierarchyConfig::l1_2().validate().is_ok());
