@@ -27,9 +27,11 @@ build:
 test:
 	cargo test -q
 
-## Tier-1 verify: exactly what CI and the ROADMAP run.
+## Tier-1 verify plus the perfbench build: exactly what the CI verify job
+## runs (the ROADMAP's tier-1 is the first line).
 verify:
 	cargo build --release && cargo test -q
+	$(MAKE) bench-build
 
 doc:
 	cargo doc --no-deps

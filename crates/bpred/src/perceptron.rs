@@ -1,7 +1,6 @@
 //! The perceptron branch predictor of Jiménez & Lin (HPCA 2001), the
 //! predictor used by the paper's Cache Processor (Table 2).
 
-use crate::{BranchPredictor, PredStats};
 use dkip_model::FastHashMap;
 
 /// A perceptron branch predictor.
@@ -17,6 +16,10 @@ use dkip_model::FastHashMap;
 /// family, so the table is one flat row-major array of `i8` weights, the
 /// dot product and training are branch-free, and the in-flight outputs
 /// live in a deterministic [`FastHashMap`].
+///
+/// `Clone` is the predictor's snapshot: a clone holds the full table,
+/// history and counters, so a core checkpoint resumes with bit-identical
+/// predictions.
 #[derive(Debug, Clone)]
 pub struct PerceptronPredictor {
     /// Row-major table: perceptron `i` occupies
@@ -31,7 +34,8 @@ pub struct PerceptronPredictor {
     /// misprediction. This matches how the cores use the predictor (at most
     /// a handful of unresolved branches because fetch stalls on a predicted
     /// mispredict).
-    stats: PredStats,
+    predictions: u64,
+    mispredictions: u64,
     last_outputs: FastHashMap<u64, i32>,
 }
 
@@ -41,11 +45,13 @@ impl PerceptronPredictor {
     ///
     /// # Panics
     ///
-    /// Panics if `table_size` or `history_len` is zero.
+    /// Panics if `table_size` or `history_len` is zero, or if
+    /// `history_len` exceeds the 64 bits of the global history register.
     #[must_use]
     pub fn new(table_size: usize, history_len: usize) -> Self {
         assert!(table_size > 0, "table_size must be positive");
         assert!(history_len > 0, "history_len must be positive");
+        assert!(history_len <= 64, "history_len must be at most 64");
         let table_size = table_size.next_power_of_two();
         let threshold = (1.93 * history_len as f64 + 14.0).floor() as i32;
         PerceptronPredictor {
@@ -54,7 +60,8 @@ impl PerceptronPredictor {
             history: 0,
             history_len,
             threshold,
-            stats: PredStats::default(),
+            predictions: 0,
+            mispredictions: 0,
             last_outputs: FastHashMap::default(),
         }
     }
@@ -142,15 +149,11 @@ impl PerceptronPredictor {
         let widened = self.weights.iter().map(|&w| i32::from(w));
         widened.map(i32::abs).max().unwrap_or(0)
     }
-}
 
-impl BranchPredictor for PerceptronPredictor {
-    fn clone_box(&self) -> Box<dyn BranchPredictor> {
-        Box::new(self.clone())
-    }
-
-    fn predict(&mut self, pc: u64) -> bool {
-        self.stats.predictions += 1;
+    /// Predicts the direction of the conditional branch at `pc`
+    /// (`true` = taken). Called at fetch; it must not see the outcome.
+    pub fn predict(&mut self, pc: u64) -> bool {
+        self.predictions += 1;
         let y = self.output(pc);
         self.last_outputs.insert(pc, y);
         let taken = y >= 0;
@@ -160,9 +163,13 @@ impl BranchPredictor for PerceptronPredictor {
         taken
     }
 
-    fn update(&mut self, pc: u64, taken: bool, predicted: bool) {
+    /// Trains the predictor with the resolved outcome of the branch at
+    /// `pc`, exactly once per dynamic conditional branch. `predicted` is
+    /// the direction returned by the matching [`predict`](Self::predict)
+    /// call.
+    pub fn update(&mut self, pc: u64, taken: bool, predicted: bool) {
         if taken != predicted {
-            self.stats.mispredictions += 1;
+            self.mispredictions += 1;
             // Repair the speculative history bit inserted by `predict`.
             self.history = (self.history & !1) | u64::from(taken);
         }
@@ -173,15 +180,18 @@ impl BranchPredictor for PerceptronPredictor {
         }
     }
 
-    /// One pass instead of `predict` + `update`: the same dot product,
+    /// Trains the predictor with a branch that is not being simulated in
+    /// detail (functional warming, sampled simulation's fast-forward). It
+    /// leaves exactly the state that [`predict`](Self::predict) followed by
+    /// [`update`](Self::update) leaves, in one pass: the same dot product,
     /// counters, history and training, without parking the output in
     /// `last_outputs` only to take it straight back out.
-    fn warm(&mut self, pc: u64, taken: bool) {
-        self.stats.predictions += 1;
+    pub fn warm(&mut self, pc: u64, taken: bool) {
+        self.predictions += 1;
         let y = self.output(pc);
         let predicted = y >= 0;
         if taken != predicted {
-            self.stats.mispredictions += 1;
+            self.mispredictions += 1;
         }
         // `predict` would overwrite a pending output for this pc and
         // `update` would then remove it.
@@ -197,12 +207,17 @@ impl BranchPredictor for PerceptronPredictor {
         }
     }
 
-    fn predictions(&self) -> u64 {
-        self.stats.predictions
+    /// Number of predictions made so far.
+    #[must_use]
+    pub fn predictions(&self) -> u64 {
+        self.predictions
     }
 
-    fn mispredictions(&self) -> u64 {
-        self.stats.mispredictions
+    /// Number of mispredictions observed so far (counted by `update` and
+    /// `warm`).
+    #[must_use]
+    pub fn mispredictions(&self) -> u64 {
+        self.mispredictions
     }
 }
 
@@ -221,7 +236,8 @@ mod tests {
         history: u64,
         history_len: usize,
         threshold: i32,
-        stats: PredStats,
+        predictions: u64,
+        mispredictions: u64,
         last_outputs: FastHashMap<u64, i32>,
     }
 
@@ -234,7 +250,8 @@ mod tests {
                 history: 0,
                 history_len,
                 threshold: (1.93 * history_len as f64 + 14.0).floor() as i32,
-                stats: PredStats::default(),
+                predictions: 0,
+                mispredictions: 0,
                 last_outputs: FastHashMap::default(),
             }
         }
@@ -272,7 +289,7 @@ mod tests {
         }
 
         fn predict(&mut self, pc: u64) -> bool {
-            self.stats.predictions += 1;
+            self.predictions += 1;
             let y = self.output(pc);
             self.last_outputs.insert(pc, y);
             self.history = (self.history << 1) | u64::from(y >= 0);
@@ -281,7 +298,7 @@ mod tests {
 
         fn update(&mut self, pc: u64, taken: bool, predicted: bool) {
             if taken != predicted {
-                self.stats.mispredictions += 1;
+                self.mispredictions += 1;
                 self.history = (self.history & !1) | u64::from(taken);
             }
             let y = self.last_outputs.remove(&pc).unwrap_or(0);
@@ -291,11 +308,11 @@ mod tests {
         }
 
         fn warm(&mut self, pc: u64, taken: bool) {
-            self.stats.predictions += 1;
+            self.predictions += 1;
             let y = self.output(pc);
             let predicted = y >= 0;
             if taken != predicted {
-                self.stats.mispredictions += 1;
+                self.mispredictions += 1;
             }
             self.last_outputs.remove(&pc);
             self.history = (self.history << 1) | u64::from(taken);
@@ -366,7 +383,7 @@ mod tests {
             let guess = p.predict(0x3000);
             p.update(0x3000, taken, guess);
         }
-        let rate = p.mispredict_rate();
+        let rate = p.mispredictions() as f64 / p.predictions() as f64;
         assert!(
             rate > 0.3 && rate < 0.7,
             "random stream should be near chance, got {rate}"
@@ -402,6 +419,59 @@ mod tests {
     #[should_panic(expected = "history_len")]
     fn zero_history_is_rejected() {
         let _ = PerceptronPredictor::new(16, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "history_len")]
+    fn history_longer_than_the_register_is_rejected() {
+        let _ = PerceptronPredictor::new(16, 65);
+    }
+
+    #[test]
+    fn learns_strict_alternation() {
+        let mut p = PerceptronPredictor::paper_default();
+        for i in 0..2000u64 {
+            let taken = i % 2 == 0;
+            let guess = p.predict(0x100);
+            p.update(0x100, taken, guess);
+        }
+        let rate = p.mispredictions() as f64 / p.predictions() as f64;
+        assert!(
+            rate < 0.2,
+            "alternation is learnable from history, rate={rate}"
+        );
+    }
+
+    #[test]
+    fn clones_are_independent_bit_identical_snapshots() {
+        let mut pred = PerceptronPredictor::paper_default();
+        for i in 0..500u64 {
+            let pc = 0x1000 + (i % 7) * 16;
+            let guess = pred.predict(pc);
+            pred.update(pc, (i / 3) % 2 == 0, guess);
+        }
+        let mut snap = pred.clone();
+        // The snapshot replays the future identically...
+        for i in 0..500u64 {
+            let pc = 0x1000 + (i % 7) * 16;
+            let taken = (i / 5) % 2 == 0;
+            let a = pred.predict(pc);
+            let b = snap.predict(pc);
+            assert_eq!(a, b, "snapshot diverged at branch {i}");
+            pred.update(pc, taken, a);
+            snap.update(pc, taken, b);
+        }
+        assert_eq!(pred.predictions(), snap.predictions());
+        assert_eq!(pred.mispredictions(), snap.mispredictions());
+        assert_eq!(pred.weights, snap.weights);
+        // ...and is independent: training only the snapshot leaves the
+        // original's counters untouched.
+        let (predictions, mispredictions) = (pred.predictions(), pred.mispredictions());
+        let guess = snap.predict(0x9999);
+        snap.update(0x9999, !guess, guess);
+        assert_eq!(pred.predictions(), predictions);
+        assert_eq!(pred.mispredictions(), mispredictions);
+        assert_ne!(snap.mispredictions(), mispredictions);
     }
 
     #[test]
@@ -489,8 +559,8 @@ mod tests {
                 }
             }
             prop_assert!(reached_max && reached_min, "the prologue saturates both ways");
-            prop_assert_eq!(fast.predictions(), reference.stats.predictions);
-            prop_assert_eq!(fast.mispredictions(), reference.stats.mispredictions);
+            prop_assert_eq!(fast.predictions(), reference.predictions);
+            prop_assert_eq!(fast.mispredictions(), reference.mispredictions);
             prop_assert_eq!(fast.history, reference.history);
             prop_assert_eq!(&fast.last_outputs, &reference.last_outputs);
             let widened: Vec<i32> = fast.weights.iter().map(|&w| i32::from(w)).collect();

@@ -22,7 +22,7 @@ use crate::llbv::{Llbv, LowLocalityWriter};
 use crate::llib::{Llib, LlibEntry, SourceState};
 use crate::llrf::Llrf;
 use crate::memory_processor::MemoryProcessor;
-use dkip_bpred::{BranchPredictor, PredictorKind};
+use dkip_bpred::PerceptronPredictor;
 use dkip_mem::{AccessLevel, MemoryHierarchy};
 use dkip_model::config::{event_clock_enabled, DkipConfig, MemoryHierarchyConfig};
 use dkip_model::telemetry::{MetricsFrame, Stage, Telemetry};
@@ -54,8 +54,10 @@ struct LowMeta {
 /// The snapshot holds the complete state of every decoupled engine — Cache
 /// Processor, LLIBs/LLRFs/LLBV, checkpoint stack, Memory Processors,
 /// Address Processor (with its cache hierarchy), branch predictor and
-/// statistics — so a processor restored from it ([`DkipProcessor::restore`]
-/// or [`DkipSnapshot::to_processor`]) continues bit-identically.
+/// statistics — so a processor materialised from it by
+/// [`DkipSnapshot::to_processor`] continues bit-identically. It wraps the
+/// processor's `Clone`, the one snapshot mechanism, and stays because the
+/// end-to-end benchmark calls it.
 #[derive(Debug, Clone)]
 pub struct DkipSnapshot {
     state: DkipProcessor,
@@ -74,7 +76,7 @@ impl DkipSnapshot {
 #[derive(Debug, Clone)]
 pub struct DkipProcessor {
     cfg: DkipConfig,
-    predictor: Box<dyn BranchPredictor>,
+    predictor: PerceptronPredictor,
     cycle: u64,
 
     // Cache Processor.
@@ -140,7 +142,7 @@ impl DkipProcessor {
         cfg.validate().expect("invalid D-KIP configuration");
         let cp = &cfg.cache_processor;
         DkipProcessor {
-            predictor: PredictorKind::Perceptron.build(),
+            predictor: PerceptronPredictor::paper_default(),
             cycle: 0,
             rob: Rob::new(cp.rob_capacity),
             cp_int_iq: IssueQueue::new(cp.int_iq_capacity, cp.sched),
@@ -239,13 +241,6 @@ impl DkipProcessor {
         DkipSnapshot {
             state: self.clone(),
         }
-    }
-
-    /// Replaces this processor's entire state with the checkpoint's; the
-    /// next [`DkipProcessor::run`] continues exactly as the snapshotted
-    /// processor would have.
-    pub fn restore(&mut self, snapshot: &DkipSnapshot) {
-        *self = snapshot.state.clone();
     }
 
     /// Functionally warms the long-lived microarchitectural state with one
@@ -1093,7 +1088,7 @@ impl SimCore for DkipProcessor {
 /// install/promote their line in the Address Processor's hierarchy
 /// (timing-free) and conditional branches train the direction predictor as
 /// the Cache Processor's in-order predict/update pair would
-/// ([`BranchPredictor::warm`]). Used by the sampled-simulation mode for
+/// ([`PerceptronPredictor::warm`]). Used by the sampled-simulation mode for
 /// every fast-forwarded instruction; pipeline, clock and committed counters
 /// are untouched.
 impl WarmSink for DkipProcessor {

@@ -44,7 +44,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use dkip_bpred::PredictorKind;
 use dkip_mem::MemoryHierarchy;
 use dkip_model::config::{KiloConfig, MemoryHierarchyConfig};
 use dkip_model::SimStats;
@@ -70,7 +69,6 @@ pub fn kilo_core_params(cfg: &KiloConfig) -> CoreParams {
         mispredict_penalty: cfg.mispredict_penalty,
         collect_issue_histogram: false,
         slow_lane: Some(cfg.sliq_capacity),
-        predictor: PredictorKind::Perceptron,
     }
 }
 

@@ -83,15 +83,11 @@ impl MemStats {
     }
 }
 
-/// A deep-copied checkpoint of a [`MemoryHierarchy`], captured by
-/// [`MemoryHierarchy::snapshot`] and reapplied by
-/// [`MemoryHierarchy::restore`].
-#[derive(Debug, Clone)]
-pub struct MemSnapshot {
-    state: MemoryHierarchy,
-}
-
 /// The two-level cache hierarchy plus main memory.
+///
+/// `Clone` is its snapshot: a clone holds the cache tags and recency order,
+/// the outstanding misses and the statistics, and services every future
+/// access identically to the original at the moment of the copy.
 #[derive(Debug, Clone)]
 pub struct MemoryHierarchy {
     config: MemoryHierarchyConfig,
@@ -294,23 +290,6 @@ impl MemoryHierarchy {
         }
     }
 
-    /// Captures a deep copy of the full hierarchy state — cache tags/LRU,
-    /// outstanding misses and statistics — for the checkpoint machinery.
-    ///
-    /// A hierarchy restored from the snapshot services every future access
-    /// identically to the original at the moment of capture.
-    #[must_use]
-    pub fn snapshot(&self) -> MemSnapshot {
-        MemSnapshot {
-            state: self.clone(),
-        }
-    }
-
-    /// Replaces this hierarchy's state with the snapshot's.
-    pub fn restore(&mut self, snapshot: &MemSnapshot) {
-        *self = snapshot.state.clone();
-    }
-
     /// Invalidates both cache levels and clears outstanding misses.
     pub fn reset(&mut self) {
         if let Some(l1) = self.l1.as_mut() {
@@ -497,18 +476,18 @@ mod tests {
         }
         let in_flight = mem.access(0xAAAA_0000, false, 500);
         assert_eq!(in_flight.level, AccessLevel::Memory);
-        let snap = mem.snapshot();
+        let snap = mem.clone();
 
         // Divergent future on the original: evict everything.
         for i in 0..4096u64 {
             mem.access(0xBB00_0000 + i * 8192, false, 600 + i);
         }
 
-        // Restore and replay an access pattern on both a restored-in-place
-        // hierarchy and the captured clone; outcomes must be identical.
-        mem.restore(&snap);
-        let mut twin = MemoryHierarchy::new(small_config()).unwrap();
-        twin.restore(&snap);
+        // Restore the original from the snapshot and replay an access
+        // pattern on it and on the snapshot itself; outcomes must be
+        // identical.
+        mem.clone_from(&snap);
+        let mut twin = snap;
         assert_eq!(mem.stats(), twin.stats());
         for i in 0..64u64 {
             let a = mem.access(i * 64, false, 550 + i);

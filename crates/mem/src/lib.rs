@@ -36,4 +36,4 @@ pub mod cache;
 pub mod hierarchy;
 
 pub use cache::SetAssocCache;
-pub use hierarchy::{AccessLevel, AccessOutcome, MemSnapshot, MemStats, MemoryHierarchy};
+pub use hierarchy::{AccessLevel, AccessOutcome, MemStats, MemoryHierarchy};

@@ -171,7 +171,7 @@ impl DepList {
 ///
 /// `Clone` deep-copies the live lists (and the recycled spines), so a
 /// cloned core's wakeup table is an independent, observationally identical
-/// snapshot — required by the checkpoint/restore machinery.
+/// copy, which a core's `Clone` snapshot requires.
 #[derive(Debug, Default, Clone)]
 pub struct ConsumerTable {
     lists: FastHashMap<u64, Vec<u64>>,

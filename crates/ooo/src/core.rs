@@ -16,7 +16,7 @@ use crate::fu::{FunctionalUnits, MemPorts};
 use crate::iq::IssueQueue;
 use crate::lsq::{Lsq, FORWARD_LATENCY};
 use crate::rob::{Rob, RobEntry};
-use dkip_bpred::{BranchPredictor, PredictorKind};
+use dkip_bpred::PerceptronPredictor;
 use dkip_mem::{AccessLevel, MemoryHierarchy};
 use dkip_model::config::{
     event_clock_enabled, BaselineConfig, FuConfig, MemoryHierarchyConfig, SchedPolicy, WidthConfig,
@@ -63,8 +63,6 @@ pub struct CoreParams {
     pub collect_issue_histogram: bool,
     /// Capacity of the slow lane (WIB/SLIQ-style buffer) if present.
     pub slow_lane: Option<usize>,
-    /// Branch predictor to instantiate.
-    pub predictor: PredictorKind,
 }
 
 impl From<&BaselineConfig> for CoreParams {
@@ -82,7 +80,6 @@ impl From<&BaselineConfig> for CoreParams {
             mispredict_penalty: cfg.mispredict_penalty,
             collect_issue_histogram: cfg.collect_issue_histogram,
             slow_lane: None,
-            predictor: PredictorKind::Perceptron,
         }
     }
 }
@@ -92,11 +89,10 @@ impl From<&BaselineConfig> for CoreParams {
 ///
 /// The snapshot holds the complete microarchitectural state — ROB, issue
 /// queues, LSQ, rename scoreboard, in-flight completions, branch-predictor
-/// tables, cache contents and statistics — so a core restored from it
-/// ([`OooCore::restore`] or [`CoreSnapshot::to_core`]) continues the
-/// simulation bit-identically to the original. This is what lets the
-/// sampled-simulation mode seed detailed windows mid-stream and lets
-/// interrupted sweeps resume.
+/// tables, cache contents and statistics — so a core materialised from it
+/// by [`CoreSnapshot::to_core`] continues the simulation bit-identically
+/// to the original. It wraps the core's `Clone`, the one snapshot
+/// mechanism, and stays because the end-to-end benchmark calls it.
 #[derive(Debug, Clone)]
 pub struct CoreSnapshot {
     state: OooCore,
@@ -115,7 +111,7 @@ impl CoreSnapshot {
 pub struct OooCore {
     params: CoreParams,
     mem: MemoryHierarchy,
-    predictor: Box<dyn BranchPredictor>,
+    predictor: PerceptronPredictor,
     cycle: u64,
     rob: Rob,
     int_iq: IssueQueue,
@@ -167,7 +163,6 @@ impl OooCore {
     /// Builds a core from engine parameters and a memory hierarchy.
     #[must_use]
     pub fn new(params: CoreParams, mem: MemoryHierarchy) -> Self {
-        let predictor = params.predictor.build();
         let issue_hist = params
             .collect_issue_histogram
             .then(|| Histogram::new(20, 2000));
@@ -195,7 +190,7 @@ impl OooCore {
             issue_scratch: Vec::new(),
             frontier_scratch: Vec::new(),
             cycle: 0,
-            predictor,
+            predictor: PerceptronPredictor::paper_default(),
             mem,
             params,
         }
@@ -231,13 +226,6 @@ impl OooCore {
         CoreSnapshot {
             state: self.clone(),
         }
-    }
-
-    /// Replaces this core's entire state with the checkpoint's; the next
-    /// [`OooCore::run`] continues exactly as the snapshotted core would
-    /// have.
-    pub fn restore(&mut self, snapshot: &CoreSnapshot) {
-        *self = snapshot.state.clone();
     }
 
     /// Functionally warms the long-lived microarchitectural state with one
@@ -758,7 +746,7 @@ impl SimCore for OooCore {
 /// install/promote their line in the cache hierarchy (timing-free, see
 /// [`MemoryHierarchy::warm_access`]) and conditional branches train the
 /// direction predictor as the pipeline's in-order predict/update pair
-/// would ([`BranchPredictor::warm`]).
+/// would ([`PerceptronPredictor::warm`]).
 ///
 /// The sampled-simulation mode warms the drained core with every
 /// fast-forwarded instruction so detailed windows measure against cache

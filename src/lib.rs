@@ -10,7 +10,7 @@
 //! * [`riscv`] — the execution-driven RV64IM frontend (assembler, emulator,
 //!   embedded kernels) feeding real instruction streams to every core,
 //! * [`mem`] — the two-level cache hierarchy and main-memory model,
-//! * [`bpred`] — branch predictors (perceptron, gshare, bimodal),
+//! * [`bpred`] — the paper's perceptron branch predictor,
 //! * [`ooo`] — the R10000-style out-of-order baseline core,
 //! * [`kilo`] — the traditional KILO-instruction processor baseline,
 //! * [`dkip`] — the Decoupled KILO-Instruction Processor itself,

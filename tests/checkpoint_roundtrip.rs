@@ -18,16 +18,9 @@
 //! * the continuation's final [`SimStats::to_kv`] serialisation must equal
 //!   the reference's byte for byte.
 
-use dkip::dkip::DkipProcessor;
-use dkip::mem::MemoryHierarchy;
-use dkip::model::config::MemoryHierarchyConfig;
 use dkip::model::SimStats;
-use dkip::sim::runner::{Job, Machine};
-use dkip::sim::{suites, SweepRunner};
-
-fn hierarchy(cfg: &MemoryHierarchyConfig) -> MemoryHierarchy {
-    MemoryHierarchy::new(cfg.clone()).expect("golden memory configurations are valid")
-}
+use dkip::sim::runner::Job;
+use dkip::sim::{suites, Core, SweepRunner};
 
 /// Runs `job` in two segments with a snapshot/restore-into-fresh-core
 /// boundary at `midpoint` committed instructions, returning the final
@@ -89,29 +82,37 @@ fn riscv_suite_roundtrips_bit_identically() {
 }
 
 /// A snapshot is an independent deep copy: mutating the restored core must
-/// not disturb the core that produced the checkpoint (and vice versa).
+/// not disturb the core that produced the checkpoint (and vice versa). The
+/// first job of the baseline, KILO and D-KIP suites each take their
+/// family's `snapshot()` path: `OooCore::snapshot().to_core()` and
+/// `DkipProcessor::snapshot().to_processor()`.
 #[test]
 fn snapshots_are_independent_of_the_source_core() {
-    let job = &suites::golden_dkip_jobs()[0];
-    let Machine::Dkip(cfg) = &job.machine else {
-        panic!("dkip suite starts with a dkip job");
-    };
-    let mut stream_a = job.workload.stream(job.seed);
-    let mut original = DkipProcessor::new(cfg.clone(), hierarchy(&job.mem));
-    let _ = original.run(&mut stream_a, 1_000);
-    let snapshot = original.snapshot();
+    for jobs in [
+        suites::golden_baseline_jobs(),
+        suites::golden_kilo_jobs(),
+        suites::golden_dkip_jobs(),
+    ] {
+        let job = &jobs[0];
+        let mut stream_a = job.workload.stream(job.seed);
+        let mut original = job.machine.build(&job.mem);
+        let _ = original.run(&mut stream_a, 1_000, None);
+        let mut copy = match &original {
+            Core::Ooo(core) => Core::Ooo(Box::new(core.snapshot().to_core())),
+            Core::Dkip(core) => Core::Dkip(Box::new(core.snapshot().to_processor())),
+        };
 
-    // Checkpoint the full simulation state: core snapshot + stream clone.
-    // Then drive the restored copy far ahead on its own stream.
-    let mut stream_b = stream_a.clone();
-    let mut copy = snapshot.to_processor();
-    let _ = copy.run(&mut stream_b, 3_000);
+        // Checkpoint the full simulation state: core snapshot + stream
+        // clone. Then drive the restored copy far ahead on its own stream.
+        let mut stream_b = stream_a.clone();
+        let _ = copy.run(&mut stream_b, 3_000, None);
 
-    // The original must continue exactly as if the copy never existed.
-    let undisturbed = original.run(&mut stream_a, job.budget);
-    let mut stream_c = job.workload.stream(job.seed);
-    let mut reference = DkipProcessor::new(cfg.clone(), hierarchy(&job.mem));
-    let _ = reference.run(&mut stream_c, 1_000);
-    let expected = reference.run(&mut stream_c, job.budget);
-    assert_eq!(undisturbed.to_kv(), expected.to_kv());
+        // The original must continue exactly as if the copy never existed.
+        let undisturbed = original.run(&mut stream_a, job.budget, None);
+        let mut stream_c = job.workload.stream(job.seed);
+        let mut reference = job.machine.build(&job.mem);
+        let _ = reference.run(&mut stream_c, 1_000, None);
+        let expected = reference.run(&mut stream_c, job.budget, None);
+        assert_eq!(undisturbed.to_kv(), expected.to_kv(), "{}", job.label);
+    }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests over the core data structures and the workload
 //! generators.
 
-use dkip::bpred::{BranchPredictor, PerceptronPredictor};
+use dkip::bpred::PerceptronPredictor;
 use dkip::dkip::{CheckpointStack, Llbv, Llrf, LowLocalityWriter};
 use dkip::mem::SetAssocCache;
 use dkip::model::config::LlibConfig;
