@@ -33,8 +33,10 @@ verify:
 	cargo build --release && cargo test -q
 	$(MAKE) bench-build
 
+## API docs with warnings denied, exactly as the CI docs job builds them
+## (a dangling intra-doc link fails here, not only in CI).
 doc:
-	cargo doc --no-deps
+	RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
 
 ## Static checks, exactly as the CI lint job runs them.
 lint:

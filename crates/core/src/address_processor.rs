@@ -4,15 +4,14 @@
 //! and the memory hierarchy; both the Cache Processor and the Memory
 //! Processors perform their memory accesses through it (Section 3.3 of the
 //! paper describes the LSQ as decoupled, in the spirit of decoupled
-//! access-execute architectures). It also keeps the per-LLIB FIFO of
-//! completed long-latency load values: when a load that missed to main
-//! memory completes, its value is held here until the first depending
-//! instruction reaches the head of the LLIB and moves into a Memory
-//! Processor.
+//! access-execute architectures). It also times the long-latency loads:
+//! when a load that missed to main memory completes, its value enters the
+//! load-value FIFO and [`AddressProcessor::begin_cycle_into`] reports its
+//! arrival. The processor decides whether a value is available from which
+//! loads are still outstanding in its low-locality metadata.
 
 use dkip_mem::{AccessOutcome, MemStats, MemoryHierarchy};
 use dkip_model::config::AddressProcessorConfig;
-use dkip_model::{fast_set_with_capacity, FastHashSet};
 use dkip_ooo::{Lsq, MemPorts};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -29,8 +28,6 @@ pub struct AddressProcessor {
     mem: MemoryHierarchy,
     /// Long-latency loads in flight: (completion cycle, load seq).
     pending_loads: BinaryHeap<Reverse<(u64, u64)>>,
-    /// Long-latency loads whose value is available in the load-value FIFO.
-    available_values: FastHashSet<u64>,
     total_long_latency_loads: u64,
 }
 
@@ -42,8 +39,7 @@ impl AddressProcessor {
             lsq: Lsq::new(config.lsq_capacity),
             ports: MemPorts::new(config.memory_ports),
             mem,
-            pending_loads: BinaryHeap::with_capacity(config.lsq_capacity),
-            available_values: fast_set_with_capacity(4 * config.lsq_capacity),
+            pending_loads: BinaryHeap::new(),
             total_long_latency_loads: 0,
         }
     }
@@ -59,7 +55,6 @@ impl AddressProcessor {
                 break;
             }
             self.pending_loads.pop();
-            self.available_values.insert(seq);
             arrived.push(seq);
         }
     }
@@ -103,13 +98,6 @@ impl AddressProcessor {
     pub fn register_long_latency_load(&mut self, seq: u64, completes_at: u64) {
         self.total_long_latency_loads += 1;
         self.pending_loads.push(Reverse((completes_at, seq)));
-    }
-
-    /// Whether the value of long-latency load `seq` is available in the
-    /// load-value FIFO.
-    #[must_use]
-    pub fn load_value_ready(&self, seq: u64) -> bool {
-        self.available_values.contains(&seq)
     }
 
     /// The earliest future cycle (strictly after `now`) at which the AP's
@@ -156,11 +144,10 @@ mod tests {
     fn long_latency_loads_become_available_at_their_completion_cycle() {
         let mut ap = ap();
         ap.register_long_latency_load(7, 500);
-        assert!(!ap.load_value_ready(7));
         assert!(ap.begin_cycle(499).is_empty());
         let arrived = ap.begin_cycle(500);
         assert_eq!(arrived, vec![7]);
-        assert!(ap.load_value_ready(7));
+        assert!(ap.begin_cycle(501).is_empty(), "a value arrives once");
         assert_eq!(ap.total_long_latency_loads(), 1);
     }
 

@@ -27,8 +27,8 @@ use dkip_mem::{AccessLevel, MemoryHierarchy};
 use dkip_model::config::{event_clock_enabled, DkipConfig, MemoryHierarchyConfig};
 use dkip_model::telemetry::{MetricsFrame, Stage, Telemetry};
 use dkip_model::{
-    drive, fast_map_with_capacity, fast_set_with_capacity, ConsumerTable, DepList, FastHashMap,
-    FastHashSet, LastWriters, MicroOp, OpClass, RegClass, SimCore, SimStats, WarmSink,
+    drive, ConsumerTable, DepList, FastHashMap, LastWriters, MicroOp, OpClass, RegClass, SimCore,
+    SimStats, WarmSink,
 };
 use dkip_ooo::lsq::FORWARD_LATENCY;
 use dkip_ooo::{FunctionalUnits, IssueQueue, Rob, RobEntry};
@@ -87,8 +87,6 @@ pub struct DkipProcessor {
     cp_completions: BinaryHeap<Reverse<(u64, u64)>>,
     cp_consumers: ConsumerTable,
     last_writer: LastWriters,
-    /// Loads that issued in the CP and were discovered to miss to memory.
-    cp_long_latency_loads: FastHashSet<u64>,
 
     // Low-locality machinery.
     llbv: Llbv,
@@ -103,6 +101,10 @@ pub struct DkipProcessor {
     mp_int: MemoryProcessor,
     mp_fp: MemoryProcessor,
     ap: AddressProcessor,
+    /// Every low-locality instruction, from Analyze until it completes: in
+    /// an LLIB, in a Memory Processor, or a long-latency load waiting for
+    /// its value. Membership is the availability test for both kinds of
+    /// low-locality producer.
     low_meta: FastHashMap<u64, LowMeta>,
     /// Producer (MP instruction) → consumers inserted in an MP waiting on it.
     mp_consumers: ConsumerTable,
@@ -148,10 +150,9 @@ impl DkipProcessor {
             cp_int_iq: IssueQueue::new(cp.int_iq_capacity, cp.sched),
             cp_fp_iq: IssueQueue::new(cp.fp_iq_capacity, cp.sched),
             cp_fus: FunctionalUnits::new(cp.fu),
-            cp_completions: BinaryHeap::with_capacity(cp.rob_capacity),
-            cp_consumers: ConsumerTable::with_capacity(cp.rob_capacity),
+            cp_completions: BinaryHeap::new(),
+            cp_consumers: ConsumerTable::new(),
             last_writer: LastWriters::new(),
-            cp_long_latency_loads: fast_set_with_capacity(cp.rob_capacity),
             llbv: Llbv::new(),
             llib_int: Llib::new(cfg.llib.capacity),
             llib_fp: Llib::new(cfg.llib.capacity),
@@ -162,13 +163,9 @@ impl DkipProcessor {
             mp_int: MemoryProcessor::new(&cfg.memory_processor),
             mp_fp: MemoryProcessor::new(&cfg.memory_processor),
             ap: AddressProcessor::new(&cfg.address_processor, mem),
-            // Low-locality population is bounded by the two LLIBs plus the
-            // two MP queues plus the AP's outstanding loads.
-            low_meta: fast_map_with_capacity(
-                2 * cfg.llib.capacity.min(16_384) + 2 * cfg.memory_processor.queue_capacity,
-            ),
-            mp_consumers: ConsumerTable::with_capacity(2 * cfg.memory_processor.queue_capacity),
-            load_waiters: ConsumerTable::with_capacity(cfg.address_processor.lsq_capacity),
+            low_meta: FastHashMap::default(),
+            mp_consumers: ConsumerTable::new(),
+            load_waiters: ConsumerTable::new(),
             fetch_queue: VecDeque::new(),
             unresolved_mispredicts: VecDeque::new(),
             fetch_resume_at: 0,
@@ -275,12 +272,13 @@ impl DkipProcessor {
                 t.trace_stage(load_seq, Stage::Complete, self.cycle);
                 t.trace_commit(load_seq, self.cycle);
             }
-        } else if self.cp_long_latency_loads.remove(&load_seq) {
+        } else if let Some(entry) = self.rob.get_mut(load_seq).filter(|e| e.long_latency) {
             // The value returned before the load reached the Analyze stage
             // (common for accesses merged into an already-outstanding miss).
             // The load then behaves like a late Cache Processor completion:
             // consumers still inside the CP wake up normally and the Analyze
             // stage commits it as an ordinary executed load.
+            entry.long_latency = false;
             self.complete_cp_instruction(load_seq, probe);
         }
         let waiters = self.load_waiters.take(load_seq);
@@ -322,12 +320,13 @@ impl DkipProcessor {
             t.trace_stage(seq, Stage::Complete, self.cycle);
             t.trace_commit(seq, self.cycle);
         }
-        if meta.op.class.is_mem() {
-            match meta.op.class {
-                OpClass::Load => self.ap.lsq_mut().retire_load(seq),
-                OpClass::Store => self.ap.lsq_mut().retire_store(seq),
-                _ => {}
-            }
+        match meta.op.class {
+            OpClass::Load => self.ap.lsq_mut().retire_load(seq),
+            OpClass::Store => self
+                .ap
+                .lsq_mut()
+                .retire_store(seq, meta.op.mem_addr.expect("store has an address")),
+            _ => {}
         }
         if meta.op.is_conditional_branch() {
             let taken = meta.op.branch.expect("conditional branch").taken;
@@ -427,9 +426,11 @@ impl DkipProcessor {
                 }
                 // The paper's transfer rule: the head may move once the
                 // long-latency load it directly depends on has completed;
-                // other instructions move without additional checks.
+                // other instructions move without additional checks. A
+                // load stays in `low_meta` from Analyze until its value
+                // arrives, so membership means "not yet".
                 if let Some(load) = head.blocking_load() {
-                    if !self.ap.load_value_ready(load) {
+                    if self.low_meta.contains_key(&load) {
                         break;
                     }
                 }
@@ -440,22 +441,22 @@ impl DkipProcessor {
                 }
                 let seq = entry.op.seq;
                 let mut unavailable = 0u8;
+                // A producer still in `low_meta` has not completed (value
+                // arrival or MP completion removes it), so this one
+                // membership test decides availability for both kinds.
                 for source in entry.sources.iter().flatten() {
-                    match source {
+                    match *source {
                         SourceState::Ready => {}
                         SourceState::WaitsForLoad(load) => {
-                            if !self.ap.load_value_ready(*load) {
+                            if self.low_meta.contains_key(&load) {
                                 unavailable += 1;
-                                self.load_waiters.push(*load, seq);
+                                self.load_waiters.push(load, seq);
                             }
                         }
                         SourceState::WaitsForMp(producer) => {
-                            // A producer still in `low_meta` has not
-                            // completed (completion removes it), so this one
-                            // membership test decides availability.
-                            if self.low_meta.contains_key(producer) {
+                            if self.low_meta.contains_key(&producer) {
                                 unavailable += 1;
-                                self.mp_consumers.push(*producer, seq);
+                                self.mp_consumers.push(producer, seq);
                             }
                         }
                     }
@@ -564,8 +565,7 @@ impl DkipProcessor {
             let seq = head.op.seq;
             let completed = head.completed;
             let issued = head.issued;
-            let is_load = head.op.is_load();
-            let long_latency_load = self.cp_long_latency_loads.contains(&seq);
+            let long_latency_load = head.long_latency;
             let has_long_latency_src = head.op.sources().any(|r| self.llbv.is_long_latency(r));
 
             if completed {
@@ -576,7 +576,10 @@ impl DkipProcessor {
                 }
                 match entry.op.class {
                     OpClass::Load => self.ap.lsq_mut().retire_load(seq),
-                    OpClass::Store => self.ap.lsq_mut().retire_store(seq),
+                    OpClass::Store => self
+                        .ap
+                        .lsq_mut()
+                        .retire_store(seq, entry.op.mem_addr.expect("store has an address")),
                     _ => {}
                 }
                 self.stats.committed += 1;
@@ -589,7 +592,7 @@ impl DkipProcessor {
                 continue;
             }
 
-            if is_load && long_latency_load {
+            if long_latency_load {
                 // A load that issued in the CP and missed to main memory:
                 // the Address Processor owns it from here on.
                 let Some(epoch) = self.ensure_checkpoint(seq) else {
@@ -597,7 +600,6 @@ impl DkipProcessor {
                     break;
                 };
                 let entry = self.rob.pop_head().expect("head exists");
-                self.cp_long_latency_loads.remove(&seq);
                 self.drop_cp_wakeups(seq);
                 if let Some(dst) = entry.op.dst {
                     self.llbv.mark(dst, LowLocalityWriter::Load(seq));
@@ -799,7 +801,10 @@ impl DkipProcessor {
                     // Long-latency: the Address Processor takes over; the
                     // destination register will be flagged in the LLBV when
                     // the load reaches Analyze.
-                    self.cp_long_latency_loads.insert(seq);
+                    self.rob
+                        .get_mut(seq)
+                        .expect("issued instruction in flight")
+                        .long_latency = true;
                     self.ap
                         .register_long_latency_load(seq, now + outcome.latency);
                 } else {
@@ -1135,9 +1140,16 @@ mod tests {
         // Only producers still in flight in the Aging-ROB may hold a wakeup
         // list; one left behind by a producer that departed for the
         // low-locality side is a leak that grows the core's state (and
-        // every snapshot of it) with the length of the run.
+        // every snapshot of it) with the length of the run. The same holds
+        // for the low-locality side tables: every `low_meta` entry sits in
+        // an LLIB, in a Memory Processor, or is a long-latency load holding
+        // an LSQ entry until its value arrives, and only such instructions
+        // can be waited on by the MP wakeup lists.
         let cfg = DkipConfig::paper_default();
         let bound = cfg.cache_processor.rob_capacity;
+        let low_bound = 2 * cfg.llib.capacity
+            + 2 * cfg.memory_processor.queue_capacity
+            + cfg.address_processor.lsq_capacity;
         for bench in [Benchmark::Mcf, Benchmark::Gcc, Benchmark::Swim] {
             let mem = MemoryHierarchy::new(MemoryHierarchyConfig::mem_400()).unwrap();
             let mut proc_ = DkipProcessor::new(cfg.clone(), mem);
@@ -1150,6 +1162,17 @@ mod tests {
                      {bound}-entry Aging-ROB",
                     proc_.cp_consumers.len()
                 );
+                for (table, len) in [
+                    ("low_meta", proc_.low_meta.len()),
+                    ("mp_consumers", proc_.mp_consumers.len()),
+                    ("load_waiters", proc_.load_waiters.len()),
+                ] {
+                    assert!(
+                        len <= low_bound,
+                        "{bench:?} after {target} instructions: {len} {table} entries \
+                         for {low_bound} low-locality slots"
+                    );
+                }
             }
         }
     }

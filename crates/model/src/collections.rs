@@ -20,6 +20,13 @@
 //!   ([`MAX_SOURCES`]), replacing a heap `Vec` per dispatched instruction.
 //! * [`LastWriters`] — the rename table as a flat array scoreboard indexed
 //!   by [`ArchReg::flat_index`], replacing a `HashMap<ArchReg, u64>`.
+//!
+//! In-flight state is sized by occupancy, not by configured capacity: these
+//! containers start empty and grow to what is actually in flight (then keep
+//! that room, so the steady state still allocates nothing). No constructor
+//! takes a capacity, so a 65,536-entry idealised window costs only what it
+//! holds. Per-instruction flags belong in the core's ROB entry, not in a
+//! side set keyed by sequence number.
 
 use crate::reg::{ArchReg, TOTAL_ARCH_REGS};
 use std::collections::{HashMap, HashSet};
@@ -91,19 +98,6 @@ pub type FastHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
 
 /// `HashSet` with the deterministic [`FastHasher`].
 pub type FastHashSet<T> = HashSet<T, BuildHasherDefault<FastHasher>>;
-
-/// A [`FastHashMap`] pre-sized for `capacity` entries (avoids growth
-/// rehashing during the simulation warm-up).
-#[must_use]
-pub fn fast_map_with_capacity<K, V>(capacity: usize) -> FastHashMap<K, V> {
-    FastHashMap::with_capacity_and_hasher(capacity, BuildHasherDefault::default())
-}
-
-/// A [`FastHashSet`] pre-sized for `capacity` entries.
-#[must_use]
-pub fn fast_set_with_capacity<T>(capacity: usize) -> FastHashSet<T> {
-    FastHashSet::with_capacity_and_hasher(capacity, BuildHasherDefault::default())
-}
 
 /// An inline list of pending producer sequence numbers for one dispatched
 /// instruction. A [`crate::instr::MicroOp`] has at most [`MAX_SOURCES`]
@@ -183,16 +177,6 @@ impl ConsumerTable {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty table pre-sized for about `capacity` concurrent producers,
-    /// avoiding rehash churn during the simulation warm-up.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        ConsumerTable {
-            lists: FastHashMap::with_capacity_and_hasher(capacity, Default::default()),
-            pool: Vec::new(),
-        }
     }
 
     /// Registers `consumer` as waiting on `producer`.

@@ -51,10 +51,7 @@ pub mod stats;
 pub mod telemetry;
 pub mod warm;
 
-pub use collections::{
-    fast_map_with_capacity, fast_set_with_capacity, ConsumerTable, DepList, FastHashMap,
-    FastHashSet, LastWriters, MAX_SOURCES,
-};
+pub use collections::{ConsumerTable, DepList, FastHashMap, FastHashSet, LastWriters, MAX_SOURCES};
 pub use config::{
     event_clock_enabled, BaselineConfig, CacheProcessorConfig, DkipConfig, KiloConfig,
     MemoryHierarchyConfig, MemoryProcessorConfig, SampleConfig, SchedPolicy, NO_SKIP_ENV,

@@ -23,8 +23,8 @@ use dkip_model::config::{
 };
 use dkip_model::telemetry::{MetricsFrame, Stage, Telemetry};
 use dkip_model::{
-    drive, fast_set_with_capacity, ConsumerTable, DepList, FastHashSet, Histogram, LastWriters,
-    MicroOp, OpClass, RegClass, SimCore, SimStats, WarmSink,
+    drive, ConsumerTable, DepList, Histogram, LastWriters, MicroOp, OpClass, RegClass, SimCore,
+    SimStats, WarmSink,
 };
 use dkip_trace::{Benchmark, TraceGenerator};
 use std::cmp::Reverse;
@@ -136,14 +136,12 @@ pub struct OooCore {
     /// Instructions with a sequence number greater than this may not
     /// dispatch while the refill penalty is being paid.
     refill_boundary: u64,
-    /// Instructions parked in the slow lane (present only when configured).
-    slow_lane: FastHashSet<u64>,
+    /// Number of ROB entries parked in the slow lane ([`RobEntry::parked`];
+    /// only a configured slow lane parks any).
+    parked: usize,
     /// Parked instructions whose operands are now ready, waiting for issue
     /// queue space.
     reinsert_queue: VecDeque<u64>,
-    /// Instructions that produce a long-latency (memory) value and have not
-    /// completed yet.
-    long_latency_producers: FastHashSet<u64>,
     /// Whether the trace iterator has returned `None` (finite traces such as
     /// the execution-driven RISC-V kernels end; the synthetic generators
     /// never do).
@@ -173,16 +171,15 @@ impl OooCore {
             lsq: Lsq::new(params.lsq),
             fus: FunctionalUnits::new(params.fu),
             ports: MemPorts::new(params.memory_ports),
-            completions: BinaryHeap::with_capacity(params.window.min(4096)),
-            consumers: ConsumerTable::with_capacity(params.window.min(4096)),
+            completions: BinaryHeap::new(),
+            consumers: ConsumerTable::new(),
             last_writer: LastWriters::new(),
             fetch_queue: VecDeque::new(),
             unresolved_mispredicts: VecDeque::new(),
             fetch_resume_at: 0,
             refill_boundary: u64::MAX,
-            slow_lane: fast_set_with_capacity(params.slow_lane.unwrap_or(0).min(4096)),
+            parked: 0,
             reinsert_queue: VecDeque::new(),
-            long_latency_producers: fast_set_with_capacity(params.window.min(4096)),
             trace_done: false,
             single_step: !event_clock_enabled(),
             stats: SimStats::new(),
@@ -259,7 +256,10 @@ impl OooCore {
             let entry = self.rob.pop_head().expect("head exists");
             match entry.op.class {
                 OpClass::Load => self.lsq.retire_load(entry.op.seq),
-                OpClass::Store => self.lsq.retire_store(entry.op.seq),
+                OpClass::Store => self.lsq.retire_store(
+                    entry.op.seq,
+                    entry.op.mem_addr.expect("store has an address"),
+                ),
                 _ => {}
             }
             self.stats.committed += 1;
@@ -291,12 +291,12 @@ impl OooCore {
         if let Some(t) = probe {
             t.trace_stage(seq, Stage::Complete, self.cycle);
         }
-        self.long_latency_producers.remove(&seq);
         let (is_cond_branch, taken, predicted, mispredicted, pc) = {
             let Some(entry) = self.rob.get_mut(seq) else {
                 return;
             };
             entry.completed = true;
+            entry.long_latency = false;
             let is_cond = entry.op.is_conditional_branch();
             let taken = entry.op.branch.map(|b| b.taken).unwrap_or(false);
             (
@@ -338,13 +338,14 @@ impl OooCore {
         }
         entry.pending_srcs -= 1;
         if entry.pending_srcs == 0 && !entry.issued {
-            let class = entry.queue_class;
-            if self.slow_lane.remove(&seq) {
+            if entry.parked {
                 // Parked instructions re-enter an issue queue when space
                 // allows.
+                entry.parked = false;
+                self.parked -= 1;
                 self.reinsert_queue.push_back(seq);
             } else {
-                match class {
+                match entry.queue_class {
                     RegClass::Int => self.int_iq.mark_ready(seq),
                     RegClass::Fp => self.fp_iq.mark_ready(seq),
                 }
@@ -452,7 +453,10 @@ impl OooCore {
     /// is configured, parks its not-yet-issued dependants outside the issue
     /// queues (transitively), as the WIB/SLIQ designs do.
     fn mark_long_latency(&mut self, seq: u64) {
-        self.long_latency_producers.insert(seq);
+        self.rob
+            .get_mut(seq)
+            .expect("issued instruction must be in flight")
+            .long_latency = true;
         if self.params.slow_lane.is_none() {
             return;
         }
@@ -461,10 +465,10 @@ impl OooCore {
         frontier.push(seq);
         while let Some(producer) = frontier.pop() {
             for &consumer in self.consumers.get(producer) {
-                let Some(entry) = self.rob.get(consumer) else {
+                let Some(entry) = self.rob.get_mut(consumer) else {
                     continue;
                 };
-                if entry.issued || self.slow_lane.contains(&consumer) {
+                if entry.issued || entry.parked {
                     continue;
                 }
                 let moved = match entry.queue_class {
@@ -472,7 +476,8 @@ impl OooCore {
                     RegClass::Fp => self.fp_iq.remove(consumer),
                 };
                 if moved {
-                    self.slow_lane.insert(consumer);
+                    entry.parked = true;
+                    self.parked += 1;
                     frontier.push(consumer);
                 }
             }
@@ -526,14 +531,17 @@ impl OooCore {
                     }
                 }
             }
-            let depends_on_long_latency = pending_producers
-                .iter()
-                .any(|p| self.long_latency_producers.contains(&p) || self.slow_lane.contains(&p));
+            // Every pending producer is an in-flight ROB entry.
+            let depends_on_long_latency = pending_producers.iter().any(|p| {
+                self.rob
+                    .get(p)
+                    .is_some_and(|producer| producer.long_latency || producer.parked)
+            });
             let park = self.params.slow_lane.is_some()
                 && depends_on_long_latency
                 && !pending_producers.is_empty();
             if park {
-                if self.slow_lane.len() >= self.params.slow_lane.unwrap_or(usize::MAX) {
+                if self.parked >= self.params.slow_lane.unwrap_or(usize::MAX) {
                     break;
                 }
             } else {
@@ -593,14 +601,12 @@ impl OooCore {
 
             let ready = entry.pending_srcs == 0;
             let op_class = entry.op.class;
+            // A parked instruction waits on at least one producer, so it is
+            // never ready at dispatch.
+            entry.parked = park;
+            self.parked += usize::from(park);
             self.rob.push(entry);
-            if park {
-                self.slow_lane.insert(seq);
-                if ready {
-                    self.reinsert_queue.push_back(seq);
-                    self.slow_lane.remove(&seq);
-                }
-            } else {
+            if !park {
                 match queue_class {
                     RegClass::Int => self.int_iq.insert(seq, op_class, ready),
                     RegClass::Fp => self.fp_iq.insert(seq, op_class, ready),
@@ -699,7 +705,7 @@ impl SimCore for OooCore {
             rob: self.rob.len() as u64,
             iq: (self.int_iq.len() + self.fp_iq.len()) as u64,
             lsq: self.lsq.occupancy() as u64,
-            llib: self.slow_lane.len() as u64,
+            llib: self.parked as u64,
             llbv: 0,
             cond_branches: self.stats.cond_branches,
             branch_mispredicts: self.stats.branch_mispredicts,
@@ -984,6 +990,35 @@ mod tests {
             with_lane.ipc(),
             without_lane.ipc()
         );
+    }
+
+    #[test]
+    fn parked_count_matches_the_parked_rob_entries() {
+        // The slow lane is a flag on the ROB entry plus a counter for the
+        // capacity check and the metrics frame: the two must never drift.
+        let mut params = CoreParams::from(&BaselineConfig::r10_64());
+        params.window = 1024;
+        params.int_iq = 72;
+        params.fp_iq = 72;
+        params.slow_lane = Some(512);
+        let mut most_parked = 0;
+        for bench in [Benchmark::Swim, Benchmark::Mcf] {
+            let hierarchy = MemoryHierarchy::new(MemoryHierarchyConfig::mem_400()).unwrap();
+            let mut core = OooCore::new(params.clone(), hierarchy);
+            let mut trace = TraceGenerator::new(bench, 1);
+            for target in (1..=5).map(|step| step * 4_000) {
+                core.run(&mut trace, target);
+                let parked = core.rob.iter().filter(|e| e.parked).count();
+                assert_eq!(core.parked, parked, "{bench:?} after {target} instructions");
+                assert!(parked <= 512);
+                assert!(
+                    core.rob.iter().all(|e| !(e.long_latency && e.completed)),
+                    "{bench:?}: a completed load still flagged long latency"
+                );
+                most_parked = most_parked.max(parked);
+            }
+        }
+        assert!(most_parked > 0, "memory-bound runs must park instructions");
     }
 
     #[test]

@@ -52,7 +52,7 @@ impl IssueQueue {
         IssueQueue {
             capacity,
             policy,
-            slots: Vec::with_capacity(capacity.min(4096)),
+            slots: Vec::new(),
             ready_count: 0,
         }
     }

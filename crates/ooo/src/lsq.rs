@@ -9,12 +9,15 @@
 //! Forwarding lookups are the per-load hot path, so pending stores are
 //! indexed *by 8-byte slot*: each slot keeps its in-flight store sequence
 //! numbers in ascending (program) order, which makes "does any older store
-//! to this slot exist?" a two-step hash probe instead of a scan over the
-//! whole store queue (the D-KIP's Address Processor LSQ holds 512 entries).
-//! Emptied slot lists are recycled through a pool, so the steady state
-//! allocates nothing.
+//! to this slot exist?" one hash probe instead of a scan over the whole
+//! store queue (the D-KIP's Address Processor LSQ holds 512 entries). That
+//! one map is the whole index: a store is retired under the address it was
+//! dispatched with, which every caller still holds, so no seq → slot map is
+//! kept. The index starts empty and grows with the stores in flight, not
+//! with the configured capacity, and emptied slot lists are recycled through
+//! a pool, so the steady state allocates nothing.
 
-use dkip_model::{fast_map_with_capacity, FastHashMap};
+use dkip_model::FastHashMap;
 
 /// Latency of a load satisfied by store-to-load forwarding.
 pub const FORWARD_LATENCY: u64 = 2;
@@ -24,11 +27,8 @@ pub const FORWARD_LATENCY: u64 = 2;
 pub struct Lsq {
     capacity: usize,
     occupancy: usize,
-    /// In-flight (dispatched, not yet committed) stores: seq → 8-byte
-    /// aligned slot (consulted at retire to unindex the store).
-    store_slots: FastHashMap<u64, u64>,
-    /// Slot → in-flight store seqs, ascending (stores dispatch in program
-    /// order).
+    /// 8-byte aligned slot → in-flight (dispatched, not yet retired) store
+    /// seqs, ascending (stores dispatch in program order).
     stores_by_slot: FastHashMap<u64, Vec<u64>>,
     /// Recycled slot-list spines.
     spine_pool: Vec<Vec<u64>>,
@@ -47,8 +47,7 @@ impl Lsq {
         Lsq {
             capacity,
             occupancy: 0,
-            store_slots: fast_map_with_capacity(capacity),
-            stores_by_slot: fast_map_with_capacity(capacity),
+            stores_by_slot: FastHashMap::default(),
             spine_pool: Vec::new(),
         }
     }
@@ -94,10 +93,8 @@ impl Lsq {
     pub fn dispatch_store(&mut self, seq: u64, addr: u64) {
         assert!(self.has_space(), "LSQ overflow");
         self.occupancy += 1;
-        let slot = Self::slot(addr);
-        self.store_slots.insert(seq, slot);
         self.stores_by_slot
-            .entry(slot)
+            .entry(Self::slot(addr))
             .or_insert_with(|| self.spine_pool.pop().unwrap_or_default())
             .push(seq);
     }
@@ -124,25 +121,32 @@ impl Lsq {
         self.occupancy -= 1;
     }
 
-    /// Releases the entry of a committed store.
+    /// Releases the entry of a committed store dispatched with address
+    /// `addr`.
     ///
     /// # Panics
     ///
-    /// Panics if the queue is empty.
-    pub fn retire_store(&mut self, seq: u64) {
+    /// Panics if the queue is empty and, in debug builds, if store `seq` is
+    /// not in flight under `addr`'s slot (it was dispatched with another
+    /// address, or already retired).
+    pub fn retire_store(&mut self, seq: u64, addr: u64) {
         assert!(self.occupancy > 0, "LSQ underflow");
         self.occupancy -= 1;
-        let Some(slot) = self.store_slots.remove(&seq) else {
-            return;
-        };
-        let Some(stores) = self.stores_by_slot.get_mut(&slot) else {
-            return;
-        };
+        let slot = Self::slot(addr);
+        let stores = self.stores_by_slot.get_mut(&slot);
         // Stores retire in program order, so the match is (almost always)
         // the front entry.
-        if let Some(idx) = stores.iter().position(|&s| s == seq) {
-            stores.remove(idx);
-        }
+        let idx = stores
+            .as_ref()
+            .and_then(|list| list.iter().position(|&s| s == seq));
+        debug_assert!(
+            idx.is_some(),
+            "store {seq} retired under address {addr:#x}, which it was not dispatched with"
+        );
+        let (Some(stores), Some(idx)) = (stores, idx) else {
+            return;
+        };
+        stores.remove(idx);
         if stores.is_empty() {
             let spine = self.stores_by_slot.remove(&slot).expect("slot list exists");
             if spine.capacity() > 0 {
@@ -163,7 +167,7 @@ mod tests {
         lsq.dispatch_store(2, 0x100);
         assert_eq!(lsq.occupancy(), 2);
         lsq.retire_load(1);
-        lsq.retire_store(2);
+        lsq.retire_store(2, 0x100);
         assert_eq!(lsq.occupancy(), 0);
         assert!(lsq.has_space());
     }
@@ -200,7 +204,36 @@ mod tests {
     fn retired_stores_no_longer_forward() {
         let mut lsq = Lsq::new(8);
         lsq.dispatch_store(5, 0x2000);
-        lsq.retire_store(5);
+        lsq.retire_store(5, 0x2000);
         assert!(!lsq.forwards_from_store(9, 0x2000));
+    }
+
+    #[test]
+    fn stores_to_one_slot_retire_in_order_and_stop_forwarding() {
+        let mut lsq = Lsq::new(8);
+        lsq.dispatch_store(3, 0x3000);
+        lsq.dispatch_store(4, 0x3004);
+        assert!(lsq.forwards_from_store(9, 0x3000));
+        lsq.retire_store(3, 0x3000);
+        assert!(
+            lsq.forwards_from_store(9, 0x3000),
+            "the younger store to the slot is still in flight"
+        );
+        assert!(
+            !lsq.forwards_from_store(4, 0x3000),
+            "a load older than every remaining store does not forward"
+        );
+        lsq.retire_store(4, 0x3004);
+        assert!(!lsq.forwards_from_store(9, 0x3000));
+        assert_eq!(lsq.occupancy(), 0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not dispatched with")]
+    fn retiring_a_store_under_another_address_panics() {
+        let mut lsq = Lsq::new(8);
+        lsq.dispatch_store(5, 0x4000);
+        lsq.retire_store(5, 0x4008);
     }
 }

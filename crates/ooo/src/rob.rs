@@ -5,6 +5,10 @@
 //! driven (wrong-path instructions are never injected) the buffer never
 //! contains holes: entries enter at the tail at dispatch and leave from the
 //! head at commit (or, in the Aging-ROB of the D-KIP, at Analyze).
+//!
+//! Per-instruction flags live in the [`RobEntry`] itself rather than in side
+//! sets keyed by sequence number, and the buffer starts empty and grows with
+//! occupancy: a kilo-instruction window pays only for what is in flight.
 
 use dkip_model::{MicroOp, RegClass};
 use std::collections::VecDeque;
@@ -30,6 +34,12 @@ pub struct RobEntry {
     pub queue_class: RegClass,
     /// Cycle at which the instruction issued (for the Figure 3 histogram).
     pub issue_cycle: Option<u64>,
+    /// A load that missed to main memory and whose value has not arrived
+    /// yet (its dependants have low execution locality).
+    pub long_latency: bool,
+    /// Parked in the slow lane (WIB/SLIQ-style) instead of an issue queue,
+    /// waiting on a long-latency producer.
+    pub parked: bool,
 }
 
 impl RobEntry {
@@ -46,6 +56,8 @@ impl RobEntry {
             mispredicted: false,
             queue_class,
             issue_cycle: None,
+            long_latency: false,
+            parked: false,
         }
     }
 }
@@ -70,7 +82,7 @@ impl Rob {
         Rob {
             capacity,
             head_seq: 0,
-            entries: VecDeque::with_capacity(capacity.min(4096)),
+            entries: VecDeque::new(),
         }
     }
 
