@@ -13,7 +13,8 @@
 //!
 //! * `ping` — liveness check,
 //! * `status` — health endpoint: uptime and the per-process counters
-//!   (requests, errors, panics caught, cache hits/misses),
+//!   (requests, errors, panics caught, open connections, request workers
+//!   started, cache hits/misses),
 //! * `suite <name> [budget=N]` — run a golden suite (`baseline`, `kilo`,
 //!   `dkip`, `riscv`, `all`, see [`crate::suites::golden_suite_jobs`]),
 //! * `job machine=<preset> mem=<preset> bench=<workload> budget=N`
@@ -46,17 +47,25 @@
 //!   answered with `err request too long (max N bytes)`; the oversized
 //!   line is discarded and the connection stays usable. The line never
 //!   accumulates in memory past the cap.
-//! * **Per-request deadline** — a request that outlives
-//!   [`ServeOptions::deadline`] is answered with `err timeout …`; the
-//!   abandoned worker thread finishes (and populates the cache) in the
-//!   background, it just no longer owns the connection's answer.
+//! * **Per-request deadline** — each connection answers its requests on
+//!   one request worker thread, started at its first request and reused
+//!   by every later one (no thread spawn per request). A request that
+//!   outlives [`ServeOptions::deadline`] is answered with `err timeout …`
+//!   and its worker is abandoned: it finishes (and populates the cache)
+//!   in the background, it just no longer owns the connection's answer,
+//!   and the connection's next request starts a new worker. A worker
+//!   thread that dies is answered `err internal: …` and replaced the same
+//!   way. Without a deadline, requests are answered on the connection
+//!   thread itself.
 //! * **Panic isolation** — [`SweepService::answer_caught`] wraps each
 //!   request in `catch_unwind`, so one poisoned query becomes an
 //!   `err internal: request panicked: …` response (and a bumped `panics`
 //!   counter) instead of a dead server. Job-level panics never even reach
 //!   that: the runner records them and the service reports
 //!   `err N of M jobs failed: …`.
-//! * **Graceful drain** — after `shutdown`, accepting stops and in-flight
+//! * **Graceful drain** — the accept loop blocks in `accept` (it never
+//!   polls); the `shutdown` handler wakes it by connecting once to the
+//!   listener's own address. Accepting then stops and in-flight
 //!   connections get [`ServeOptions::drain`] to finish before the server
 //!   returns; idle keep-alive connections are abandoned.
 //!
@@ -65,11 +74,12 @@
 //! and deadline paths under `make chaos-check`.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::chaos::{self, FaultPoint};
@@ -293,6 +303,11 @@ struct ServiceCounters {
     requests: AtomicU64,
     errors: AtomicU64,
     panics: AtomicU64,
+    /// Connections [`run_server`] accepted that are still open; the drain
+    /// waits for this to reach zero.
+    connections: AtomicUsize,
+    /// Request workers started (see `Worker`).
+    workers: AtomicU64,
 }
 
 /// The query-answering core shared by every `dkip-sim serve` connection.
@@ -317,6 +332,8 @@ impl SweepService {
                 requests: AtomicU64::new(0),
                 errors: AtomicU64::new(0),
                 panics: AtomicU64::new(0),
+                connections: AtomicUsize::new(0),
+                workers: AtomicU64::new(0),
             }),
         }
     }
@@ -441,12 +458,14 @@ impl SweepService {
             .map_or((0, 0), |store| (store.hits(), store.misses()));
         Response {
             status: format!(
-                "ok uptime_ms={} requests={} errors={} panics={} \
-                 cache_hits={cache_hits} cache_misses={cache_misses}",
+                "ok uptime_ms={} requests={} errors={} panics={} connections={} \
+                 workers={} cache_hits={cache_hits} cache_misses={cache_misses}",
                 self.counters.start.elapsed().as_millis(),
                 self.requests(),
                 self.errors(),
                 self.panics_caught(),
+                self.counters.connections.load(Ordering::Acquire),
+                self.counters.workers.load(Ordering::Relaxed),
             ),
             body: String::new(),
         }
@@ -466,9 +485,10 @@ pub struct ServeOptions {
     /// lines are answered `err request too long …` and discarded.
     pub max_line: usize,
     /// Per-request wall-clock deadline: a slower answer is replaced by
-    /// `err timeout …` and the worker is abandoned to finish in the
-    /// background. `None` disables the deadline (and the per-request
-    /// worker thread it requires).
+    /// `err timeout …` and the connection's request worker is abandoned
+    /// to finish in the background (the next request starts a new one).
+    /// `None` disables the deadline and the per-connection worker thread
+    /// it requires: requests are answered on the connection thread.
     pub deadline: Option<Duration>,
     /// How long `shutdown` waits for in-flight connections before the
     /// server returns anyway.
@@ -488,116 +508,139 @@ impl Default for ServeOptions {
     }
 }
 
-/// A non-blocking connection acceptor: the transport half of
-/// [`run_server`], implemented for [`TcpListener`] and [`UnixListener`].
+/// Makes a blocked [`Acceptor::accept`] return by connecting once to the
+/// listener (see [`Acceptor::waker`]).
+pub type Waker = Arc<dyn Fn() -> io::Result<()> + Send + Sync>;
+
+/// A blocking connection acceptor: the transport half of [`run_server`],
+/// implemented for [`TcpListener`] and [`UnixListener`].
 pub trait Acceptor {
     /// One accepted connection.
     type Conn: Read + Write + Send + 'static;
 
-    /// Switches the listener between blocking and polling mode.
+    /// Blocks until a connection arrives and accepts it.
     ///
     /// # Errors
     ///
-    /// Returns the underlying socket error.
-    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()>;
+    /// Returns the underlying accept error.
+    fn accept(&self) -> io::Result<Self::Conn>;
 
-    /// Accepts one pending connection; `Ok(None)` when none is waiting
-    /// (the listener is non-blocking).
+    /// A [`Waker`] that connects to this listener's own address, so the
+    /// `shutdown` handler can wake the accept loop.
     ///
     /// # Errors
     ///
-    /// Returns accept errors other than `WouldBlock`.
-    fn try_accept(&self) -> io::Result<Option<Self::Conn>>;
+    /// Returns the error when the listener's address cannot be read or
+    /// cannot be connected to (an unnamed unix socket).
+    fn waker(&self) -> io::Result<Waker>;
 }
 
 impl Acceptor for TcpListener {
     type Conn = TcpStream;
 
-    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
-        TcpListener::set_nonblocking(self, nonblocking)
+    fn accept(&self) -> io::Result<TcpStream> {
+        TcpListener::accept(self).map(|(stream, _peer)| stream)
     }
 
-    fn try_accept(&self) -> io::Result<Option<TcpStream>> {
-        match self.accept() {
-            Ok((stream, _peer)) => Ok(Some(stream)),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-            Err(e) => Err(e),
+    fn waker(&self) -> io::Result<Waker> {
+        let mut addr = self.local_addr()?;
+        // A wildcard listener is reached on its own host via loopback.
+        match addr.ip() {
+            IpAddr::V4(ip) if ip.is_unspecified() => addr.set_ip(Ipv4Addr::LOCALHOST.into()),
+            IpAddr::V6(ip) if ip.is_unspecified() => addr.set_ip(Ipv6Addr::LOCALHOST.into()),
+            _ => {}
         }
+        Ok(Arc::new(move || TcpStream::connect(addr).map(drop)))
     }
 }
 
 impl Acceptor for UnixListener {
     type Conn = UnixStream;
 
-    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
-        UnixListener::set_nonblocking(self, nonblocking)
+    fn accept(&self) -> io::Result<UnixStream> {
+        UnixListener::accept(self).map(|(stream, _peer)| stream)
     }
 
-    fn try_accept(&self) -> io::Result<Option<UnixStream>> {
-        match self.accept() {
-            Ok((stream, _peer)) => Ok(Some(stream)),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-            Err(e) => Err(e),
-        }
+    fn waker(&self) -> io::Result<Waker> {
+        let path = self
+            .local_addr()?
+            .as_pathname()
+            .ok_or_else(|| {
+                io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    "the unix listener has no path to connect to",
+                )
+            })?
+            .to_owned();
+        Ok(Arc::new(move || UnixStream::connect(&path).map(drop)))
     }
 }
 
-/// Decrements the active-connection count when a handler thread exits,
+/// Decrements the open-connection count when a handler thread exits,
 /// however it exits.
-struct ActiveGuard(Arc<AtomicUsize>);
+struct ActiveGuard(Arc<ServiceCounters>);
 
 impl Drop for ActiveGuard {
     fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
+        self.0.connections.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
 /// Accepts connections until a client sends `shutdown`, then drains.
 ///
-/// One detached handler thread per connection (so drain can time out on
-/// idle keep-alive peers instead of joining them forever); each handler
+/// The loop blocks in [`Acceptor::accept`]; the handler that receives
+/// `shutdown` wakes it through the listener's [`Acceptor::waker`]. One
+/// detached handler thread per connection (so drain can time out on idle
+/// keep-alive peers instead of joining them forever); each handler
 /// answers through [`SweepService::answer_caught`] under the limits in
 /// `opts`. Accept errors are logged and the loop continues — a transient
 /// `EMFILE` must not kill a server holding a warm cache.
 ///
 /// # Errors
 ///
-/// Returns the socket error when the listener cannot be switched to
-/// non-blocking mode — before any request is served.
+/// Returns the [`Acceptor::waker`] error — before any request is served.
 pub fn run_server<A: Acceptor>(
     listener: &A,
     service: SweepService,
     opts: &ServeOptions,
 ) -> io::Result<()> {
-    listener.set_nonblocking(true)?;
+    let waker = listener.waker()?;
     let service = Arc::new(service);
     let shutdown = Arc::new(AtomicBool::new(false));
-    let active = Arc::new(AtomicUsize::new(0));
+    let counters = Arc::clone(&service.counters);
     while !shutdown.load(Ordering::Acquire) {
-        match listener.try_accept() {
-            Ok(Some(conn)) => {
-                active.fetch_add(1, Ordering::AcqRel);
-                let guard = ActiveGuard(Arc::clone(&active));
-                let service = Arc::clone(&service);
-                let shutdown = Arc::clone(&shutdown);
-                let opts = opts.clone();
-                std::thread::spawn(move || {
-                    let _guard = guard;
-                    handle_connection(conn, &service, &opts, &shutdown);
-                });
-            }
-            Ok(None) => std::thread::sleep(Duration::from_millis(10)),
+        let conn = match listener.accept() {
+            Ok(conn) => conn,
             Err(e) => {
                 eprintln!("# dkip-sim serve: accept failed: {e}");
                 std::thread::sleep(Duration::from_millis(100));
+                continue;
             }
+        };
+        if shutdown.load(Ordering::Acquire) {
+            // The shutdown handler's wake-up, or a client that raced it.
+            break;
         }
+        counters.connections.fetch_add(1, Ordering::AcqRel);
+        let guard = ActiveGuard(Arc::clone(&counters));
+        let service = Arc::clone(&service);
+        let shutdown = Arc::clone(&shutdown);
+        let waker = Arc::clone(&waker);
+        let opts = opts.clone();
+        std::thread::spawn(move || {
+            let _guard = guard;
+            if handle_connection(conn, &service, &opts, &shutdown) {
+                if let Err(e) = waker() {
+                    eprintln!("# dkip-sim serve: cannot wake the accept loop: {e}");
+                }
+            }
+        });
     }
     let drain_until = Instant::now() + opts.drain;
-    while active.load(Ordering::Acquire) > 0 && Instant::now() < drain_until {
+    while counters.connections.load(Ordering::Acquire) > 0 && Instant::now() < drain_until {
         std::thread::sleep(Duration::from_millis(10));
     }
-    let abandoned = active.load(Ordering::Acquire);
+    let abandoned = counters.connections.load(Ordering::Acquire);
     if abandoned > 0 {
         eprintln!("# dkip-sim serve: drain timed out, abandoning {abandoned} connection(s)");
     }
@@ -663,16 +706,22 @@ fn discard_to_newline<R: BufRead>(reader: &mut R) -> bool {
 /// Answers request lines until the peer closes the connection or sends
 /// `shutdown`. I/O errors drop the connection; they never take the server
 /// down. See the module docs for the limits enforced here.
+///
+/// Returns `true` when the connection ended with `shutdown`: `shutdown`
+/// is set before the reply goes out, and the caller wakes its accept loop.
 pub fn handle_connection<C: Read + Write>(
     conn: C,
     service: &SweepService,
     opts: &ServeOptions,
     shutdown: &AtomicBool,
-) {
+) -> bool {
     let mut reader = BufReader::new(conn);
+    // Started at the first request, reused by later ones; dropping it at
+    // return closes its channel and the worker exits.
+    let mut worker = None;
     loop {
         let response = match read_request_line(&mut reader, opts.max_line) {
-            LineOutcome::Closed => return,
+            LineOutcome::Closed => return false,
             LineOutcome::TooLong => Response {
                 status: format!("err request too long (max {} bytes)", opts.max_line),
                 body: String::new(),
@@ -688,9 +737,11 @@ pub fn handle_connection<C: Read + Write>(
                     .get_mut()
                     .write_all(reply.render().as_bytes())
                     .and_then(|()| reader.get_mut().flush());
-                return;
+                return true;
             }
-            LineOutcome::Line(line) => answer_with_deadline(service, &line, opts.deadline),
+            LineOutcome::Line(line) => {
+                answer_with_deadline(service, &mut worker, &line, opts.deadline)
+            }
         };
         if reader
             .get_mut()
@@ -698,40 +749,85 @@ pub fn handle_connection<C: Read + Write>(
             .and_then(|()| reader.get_mut().flush())
             .is_err()
         {
-            return;
+            return false;
         }
     }
 }
 
-/// Runs one request under the optional deadline: on time-out the worker
-/// thread is abandoned (it finishes — and warms the cache — in the
-/// background) and the connection gets `err timeout …` instead.
+/// The request worker thread of one connection: it answers the
+/// connection's requests one at a time, so a connection starts one thread
+/// rather than one per request. The thread is detached: it exits once the
+/// `Worker` is dropped (its request channel closes), after finishing the
+/// request it may be running. It answers through
+/// [`SweepService::answer_caught`], so a request panic is already an
+/// `err` response, never a lost thread result.
+struct Worker {
+    requests: mpsc::Sender<String>,
+    responses: mpsc::Receiver<Response>,
+}
+
+impl Worker {
+    /// Starts a worker answering through `service`, counted in `status`.
+    fn spawn(service: &SweepService) -> Worker {
+        service.counters.workers.fetch_add(1, Ordering::Relaxed);
+        let service = service.clone();
+        Worker::run(move |line| service.answer_caught(line))
+    }
+
+    /// Starts a worker thread that answers each request line with `answer`.
+    fn run(answer: impl Fn(&str) -> Response + Send + 'static) -> Worker {
+        let (requests, lines) = mpsc::channel::<String>();
+        let (answers, responses) = mpsc::channel();
+        std::thread::spawn(move || {
+            for line in lines {
+                if answers.send(answer(&line)).is_err() {
+                    // Abandoned after a timeout: nobody waits for this
+                    // answer, or for any later one.
+                    return;
+                }
+            }
+        });
+        Worker {
+            requests,
+            responses,
+        }
+    }
+}
+
+/// Runs one request under the optional deadline on the connection's
+/// `worker`, starting one if there is none. On time-out the worker is
+/// abandoned (it finishes — and warms the cache — in the background) and
+/// the connection gets `err timeout …` instead; a worker thread that died
+/// gets `err internal: …`. Either way the next request starts a new
+/// worker. Without a deadline the request is answered inline.
 fn answer_with_deadline(
     service: &SweepService,
+    worker: &mut Option<Worker>,
     line: &str,
     deadline: Option<Duration>,
 ) -> Response {
     let Some(deadline) = deadline else {
         return service.answer_caught(line);
     };
-    let (send, recv) = mpsc::channel();
-    let worker_service = service.clone();
-    let request = line.to_owned();
-    std::thread::spawn(move || {
-        let _ = send.send(worker_service.answer_caught(&request));
-    });
-    match recv.recv_timeout(deadline) {
-        Ok(response) => response,
-        Err(_) => {
-            service.counters.errors.fetch_add(1, Ordering::Relaxed);
-            Response {
-                status: format!(
-                    "err timeout: request exceeded {} ms (abandoned)",
-                    deadline.as_millis()
-                ),
-                body: String::new(),
-            }
+    let current = worker.get_or_insert_with(|| Worker::spawn(service));
+    // A send fails only when the worker thread is gone, which the receive
+    // reports as `Disconnected`.
+    let _ = current.requests.send(line.to_owned());
+    let status = match current.responses.recv_timeout(deadline) {
+        Ok(response) => return response,
+        Err(RecvTimeoutError::Timeout) => format!(
+            "err timeout: request exceeded {} ms (abandoned)",
+            deadline.as_millis()
+        ),
+        Err(RecvTimeoutError::Disconnected) => {
+            "err internal: request worker exited without an answer".to_owned()
         }
+    };
+    *worker = None;
+    service.counters.errors.fetch_add(1, Ordering::Relaxed);
+    Response {
+        status,
+        body: String::new(),
     }
 }
 
@@ -847,6 +943,26 @@ mod tests {
         assert!(status.status.contains("uptime_ms="));
         assert!(status.body.is_empty());
         assert!(Request::parse("status extra").is_err());
+    }
+
+    #[test]
+    fn a_dead_worker_is_an_internal_error_not_a_timeout() {
+        let service = SweepService::new(SweepRunner::serial());
+        let deadline = Some(Duration::from_secs(30));
+        let mut worker = Some(Worker::run(|_| panic!("the worker thread dies")));
+        let response = answer_with_deadline(&service, &mut worker, "ping", deadline);
+        assert!(
+            response.status.starts_with("err internal: "),
+            "got: {}",
+            response.status
+        );
+        assert!(worker.is_none(), "the dead worker is dropped");
+        assert_eq!(service.errors(), 1);
+        // The next request starts a fresh, counted worker.
+        let response = answer_with_deadline(&service, &mut worker, "ping", deadline);
+        assert_eq!(response.status, "ok pong");
+        assert!(worker.is_some());
+        assert_eq!(service.counters.workers.load(Ordering::Relaxed), 1);
     }
 
     #[test]

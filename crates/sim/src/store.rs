@@ -348,7 +348,7 @@ impl ResultStore {
             "{STORE_VERSION}\nkey={key}\ncovered={covered}\n{hist_sum}stats\n{}end\n",
             stats.to_kv()
         );
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
+        let tmp = temp_path(&path);
         let written = (|| {
             let mut file = fs::File::create(&tmp)?;
             file.write_all(body.as_bytes())?;
@@ -356,12 +356,24 @@ impl ResultStore {
             fs::rename(&tmp, &path)
         })();
         if written.is_err() {
-            // Never leave a torn temp file for a later attempt (or a
-            // concurrent writer with the same pid path) to trip over.
+            // Never leave a torn temp file behind in the shard dir.
             let _ = fs::remove_file(&tmp);
         }
         written
     }
+}
+
+/// Numbers the temp files of this process's write attempts (see
+/// [`temp_path`]).
+static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// The temp file one write attempt at entry `path` goes through before its
+/// rename: unique per process (the pid) and per attempt within a process
+/// (a process-wide counter), so concurrent writers of one key, in one
+/// process or several, never truncate or rename each other's file.
+fn temp_path(path: &Path) -> PathBuf {
+    let seq = TEMP_SEQ.fetch_add(1, Ordering::Relaxed);
+    path.with_extension(format!("tmp.{}.{seq}", std::process::id()))
 }
 
 /// One shard of a sharded sweep: `parse("I/N")` selects the jobs whose
@@ -571,6 +583,19 @@ mod tests {
         // Recompute path: rewriting restores service.
         store.insert(&key, &stats, 250).unwrap();
         assert_eq!(store.lookup(&key).unwrap().stats.to_kv(), stats.to_kv());
+    }
+
+    #[test]
+    fn every_write_attempt_gets_its_own_temp_file() {
+        let store = ResultStore::open(scratch("temp")).unwrap();
+        let path = store.entry_path(&store.key_for_text("k"));
+        let (first, second) = (temp_path(&path), temp_path(&path));
+        assert_ne!(first, second, "two attempts at one key share a temp file");
+        assert_eq!(
+            first.parent(),
+            path.parent(),
+            "renames stay in the shard dir"
+        );
     }
 
     #[test]

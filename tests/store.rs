@@ -13,9 +13,9 @@
 //! `dkip_sim::store::RESULTS_EPOCH` in the same commit.
 
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{Barrier, Mutex};
 
-use dkip::model::key_digest;
+use dkip::model::{key_digest, Histogram, SimStats};
 use dkip::sim::chaos;
 use dkip::sim::runner::results_to_kv;
 use dkip::sim::store::{ResultStore, CACHE_SALT_ENV};
@@ -261,4 +261,65 @@ fn corrupted_entries_recover_by_recomputing() {
         "the rewritten entry is byte-identical to the original"
     );
     let _ = std::fs::remove_dir_all(store.root());
+}
+
+/// Two threads inserting the same keys at the same moment (what the
+/// service does for a duplicate in-flight miss) never share a temp file:
+/// no write exhausts its retries, the store never degrades, no temp file
+/// is left behind, and every entry verifies as exactly one writer's
+/// document. The writers store documents of different lengths, so two
+/// writes interleaved into one shared temp file would leave a torn entry.
+#[test]
+fn concurrent_same_key_inserts_never_collide() {
+    let _guard = ENV_LOCK.lock().unwrap();
+    let dir = scratch("same-key");
+    let store = ResultStore::open(&dir).unwrap();
+    let short = SimStats {
+        cycles: 400,
+        committed: 1_000,
+        fetched: 1_100,
+        ..SimStats::default()
+    };
+    let mut hist = Histogram::new(1, 512);
+    for value in 0..512 {
+        hist.record(value);
+    }
+    let long = SimStats {
+        issue_latency: Some(hist),
+        ..short.clone()
+    };
+    let docs = [short.to_kv(), long.to_kv()];
+    assert_ne!(docs[0].len(), docs[1].len());
+    let keys: Vec<String> = (0..200)
+        .map(|i| store.key_for_text(&format!("same-key insert {i}\n")))
+        .collect();
+    let barrier = Barrier::new(2);
+    std::thread::scope(|scope| {
+        for stats in [&short, &long] {
+            let (keys, store, barrier) = (&keys, &store, &barrier);
+            scope.spawn(move || {
+                for key in keys {
+                    barrier.wait();
+                    store
+                        .insert(key, stats, 1_000)
+                        .expect("a same-key insert succeeds");
+                }
+            });
+        }
+    });
+    assert_eq!(store.write_errors(), 0);
+    assert!(!store.degraded());
+    for key in &keys {
+        let stored = store.lookup(key).expect("every entry verifies");
+        assert!(docs.contains(&stored.stats.to_kv()));
+        assert_eq!(stored.covered, 1_000);
+    }
+    let files = walk_files(&dir);
+    assert!(
+        files
+            .iter()
+            .all(|p| !p.file_name().unwrap().to_string_lossy().contains(".tmp")),
+        "no temp file may survive: {files:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
