@@ -95,10 +95,12 @@ perf-smoke: build
 	./target/release/perf budget=40000 samples=5 check=ci/perf_baseline.json tolerance=0.30 floor=0.25 telemetry_overhead=ci/perf_baseline.json
 
 ## Telemetry smoke: one kernel per core family with both backends attached
-## (interval metrics + O3PipeView pipeline trace), validated by trace_check
-## (7-line block schema, monotone per-µop stage timestamps, metrics column
+## (interval metrics + O3PipeView pipeline trace), validated for format and
+## counts by trace_check (7-line block schema, retire count, metrics column
 ## schema, monotone cycle/committed counters), plus a repeat D-KIP run that
-## must be byte-identical. Mirrored by the CI trace-smoke job.
+## must be byte-identical. Trace stamps are clamped into order as they are
+## written, so stage order is checked in process by tests/timing_oracle.rs
+## (fuzz-smoke), not from the file. Mirrored by the CI trace-smoke job.
 trace-smoke: build
 	rm -rf $(TRACE_SMOKE_DIR) && mkdir -p $(TRACE_SMOKE_DIR)
 	for fam in baseline kilo dkip; do \
@@ -223,16 +225,18 @@ sample-check:
 	cargo test -q --release -p dkip-sim --lib warming_from_the_source
 
 ## Differential-fuzz smoke: 200 random RV64IM programs through the emulator
-## oracle and all three core families, plus the checked-in corpus replay.
+## oracle and all three core families, plus the checked-in corpus replay,
+## and the timing oracle (per-µop stage order, producers before consumers)
+## over 200 programs, the corpus and the golden suites.
 ## Mirrored by the CI fuzz-smoke job. Deterministic: the proptest shim seeds
 ## from the property name, so every run draws the same 200 programs.
 fuzz-smoke:
-	DKIP_FUZZ_CASES=200 cargo test -q -p dkip --test fuzz_differential --test corpus_replay
+	DKIP_FUZZ_CASES=200 cargo test -q -p dkip --test fuzz_differential --test corpus_replay --test timing_oracle
 
 ## Full fuzz campaign: 1000 programs in release mode (the acceptance bar;
 ## see EXPERIMENTS.md "Differential fuzzing" for triage and minimization).
 fuzz:
-	DKIP_FUZZ_CASES=1000 cargo test -q --release -p dkip --test fuzz_differential --test corpus_replay
+	DKIP_FUZZ_CASES=1000 cargo test -q --release -p dkip --test fuzz_differential --test corpus_replay --test timing_oracle
 
 ## Regenerate every table/figure of the paper on stdout.
 bench-figures: build

@@ -46,7 +46,7 @@ fn main() {
 
     let mut telemetry = Telemetry::from_configs(args.metrics.as_ref(), args.trace.as_ref());
     let mut stream = args.workload.stream(SEED);
-    let stats = machine.simulate_stream_probed(&mem, &mut stream, budget, Some(&mut telemetry));
+    let stats = machine.build(&mem).run(&mut stream, budget, &mut telemetry);
     if let Err(err) = telemetry.write_files() {
         eprintln!("cannot write telemetry output: {err}");
         std::process::exit(1);

@@ -48,11 +48,12 @@
 //! (`calib_mips_best` per entry) and the report records the overall
 //! `calibrated_best_geomean` — the geomean over exact entries of
 //! `mips_best / calib_mips_best`. The `telemetry_overhead=PATH` gate builds
-//! on both: every perf job runs with the telemetry probe sink disabled
-//! ([`Job::unprobed`]), and the gate fails if the calibrated geomean
-//! regresses more than [`TELEMETRY_OVERHEAD_TOLERANCE`] against the
-//! committed baseline — pinning that the per-stage `Option<&mut Telemetry>`
-//! hooks stay near-free when `None`. Pairing each point with an adjacent
+//! on both: every perf job runs unprobed ([`Job::unprobed`], so the cores
+//! run with the zero-sized `NoProbe`), and the gate fails if the calibrated
+//! geomean regresses more than [`TELEMETRY_OVERHEAD_TOLERANCE`] against the
+//! committed baseline — pinning that an unprobed run, which carries no
+//! probe code, costs what the pre-telemetry simulator cost. Pairing each
+//! point with an adjacent
 //! control (rather than calibrating once per run) cancels host throttling
 //! and machine-class drift even when the host speed shifts *during* the
 //! matrix, which absolute MIPS comparisons cannot survive.
@@ -102,8 +103,9 @@ pub const SAMPLED_SPEEDUP_FLOOR: f64 = 3.9;
 /// the `telemetry_overhead=` gate: the disabled-probe hot path (every perf
 /// job runs [`Job::unprobed`]) may cost at most 2% against the committed
 /// pre-telemetry baseline. Deliberately much tighter than
-/// [`DEFAULT_TOLERANCE`]: the probe sink is an `Option` branch per stage
-/// and must stay near-free when `None`. A 2% wall-clock tolerance is only
+/// [`DEFAULT_TOLERANCE`]: the probe is a type parameter of the run loop and
+/// `NoProbe` compiles to nothing, so an unprobed run should cost exactly
+/// what the pre-telemetry simulator cost. A 2% wall-clock tolerance is only
 /// statistically tenable because the comparison is host-calibrated — both
 /// reports express each simulator point as a ratio of the probe-free
 /// emulator control timed right next to it ([`measure_calibration`]),

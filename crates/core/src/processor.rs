@@ -25,7 +25,7 @@ use crate::memory_processor::MemoryProcessor;
 use dkip_bpred::PerceptronPredictor;
 use dkip_mem::{AccessLevel, MemoryHierarchy};
 use dkip_model::config::{event_clock_enabled, DkipConfig, MemoryHierarchyConfig};
-use dkip_model::telemetry::{MetricsFrame, Stage, Telemetry};
+use dkip_model::telemetry::{MetricsFrame, NoProbe, Probe, Stage};
 use dkip_model::{
     drive, ConsumerTable, DepList, FastHashMap, LastWriters, MicroOp, OpClass, RegClass, SimCore,
     SimStats, WarmSink,
@@ -254,13 +254,13 @@ impl DkipProcessor {
     /// returns the accumulated statistics. See [`drive`], which also
     /// fast-forwards quiesced stretches bit-identically.
     pub fn run(&mut self, trace: &mut dyn Iterator<Item = MicroOp>, max_instrs: u64) -> SimStats {
-        drive(self, trace, max_instrs, None)
+        drive(self, trace, max_instrs, &mut NoProbe)
     }
 
     // ------------------------------------------------------------------
     // Long-latency load values arriving at the Address Processor.
     // ------------------------------------------------------------------
-    fn handle_load_value_arrival(&mut self, load_seq: u64, mut probe: Option<&mut Telemetry>) {
+    fn handle_load_value_arrival<P: Probe>(&mut self, load_seq: u64, probe: &mut P) {
         // The load itself retires now (it was removed from the Aging-ROB at
         // Analyze and handed to the AP).
         if let Some(meta) = self.low_meta.remove(&load_seq) {
@@ -268,10 +268,8 @@ impl DkipProcessor {
             self.stats.low_locality_instrs += 1;
             self.checkpoints.complete_instruction(meta.epoch);
             self.ap.lsq_mut().retire_load(load_seq);
-            if let Some(t) = probe.as_deref_mut() {
-                t.trace_stage(load_seq, Stage::Complete, self.cycle);
-                t.trace_commit(load_seq, self.cycle);
-            }
+            probe.trace_stage(load_seq, Stage::Complete, self.cycle);
+            probe.trace_commit(load_seq, self.cycle);
         } else if let Some(entry) = self.rob.get_mut(load_seq).filter(|e| e.long_latency) {
             // The value returned before the load reached the Analyze stage
             // (common for accesses merged into an already-outstanding miss).
@@ -296,30 +294,28 @@ impl DkipProcessor {
     // ------------------------------------------------------------------
     // Memory Processor completion and issue.
     // ------------------------------------------------------------------
-    fn drain_mp_completions(&mut self, mut probe: Option<&mut Telemetry>) -> bool {
+    fn drain_mp_completions<P: Probe>(&mut self, probe: &mut P) -> bool {
         let mut done = std::mem::take(&mut self.mp_done_scratch);
         done.clear();
         self.mp_int.drain_completed_into(self.cycle, &mut done);
         self.mp_fp.drain_completed_into(self.cycle, &mut done);
         for &seq in &done {
-            self.handle_mp_completion(seq, probe.as_deref_mut());
+            self.handle_mp_completion(seq, probe);
         }
         let completed = !done.is_empty();
         self.mp_done_scratch = done;
         completed
     }
 
-    fn handle_mp_completion(&mut self, seq: u64, probe: Option<&mut Telemetry>) {
+    fn handle_mp_completion<P: Probe>(&mut self, seq: u64, probe: &mut P) {
         let Some(meta) = self.low_meta.remove(&seq) else {
             return;
         };
         self.stats.committed += 1;
         self.stats.low_locality_instrs += 1;
         self.checkpoints.complete_instruction(meta.epoch);
-        if let Some(t) = probe {
-            t.trace_stage(seq, Stage::Complete, self.cycle);
-            t.trace_commit(seq, self.cycle);
-        }
+        probe.trace_stage(seq, Stage::Complete, self.cycle);
+        probe.trace_commit(seq, self.cycle);
         match meta.op.class {
             OpClass::Load => self.ap.lsq_mut().retire_load(seq),
             OpClass::Store => self
@@ -361,7 +357,7 @@ impl DkipProcessor {
         self.mp_consumers.recycle(waiters);
     }
 
-    fn mp_issue(&mut self, mut probe: Option<&mut Telemetry>) -> bool {
+    fn mp_issue<P: Probe>(&mut self, probe: &mut P) -> bool {
         let mut issued = false;
         let width = self.cfg.memory_processor.decode_width;
         for class in [RegClass::Int, RegClass::Fp] {
@@ -377,9 +373,7 @@ impl DkipProcessor {
             }
             issued |= !selected.is_empty();
             for &(seq, op_class) in &selected {
-                if let Some(t) = probe.as_deref_mut() {
-                    t.trace_stage(seq, Stage::Issue, self.cycle);
-                }
+                probe.trace_stage(seq, Stage::Issue, self.cycle);
                 let latency = if op_class.is_mem() {
                     let addr = self
                         .low_meta
@@ -470,7 +464,7 @@ impl DkipProcessor {
     // ------------------------------------------------------------------
     // Cache Processor: writeback, analyze, issue, dispatch, fetch.
     // ------------------------------------------------------------------
-    fn cp_writeback(&mut self, mut probe: Option<&mut Telemetry>) -> bool {
+    fn cp_writeback<P: Probe>(&mut self, probe: &mut P) -> bool {
         let mut completed = false;
         while let Some(&Reverse((cycle, seq))) = self.cp_completions.peek() {
             if cycle > self.cycle {
@@ -478,15 +472,13 @@ impl DkipProcessor {
             }
             completed = true;
             self.cp_completions.pop();
-            self.complete_cp_instruction(seq, probe.as_deref_mut());
+            self.complete_cp_instruction(seq, probe);
         }
         completed
     }
 
-    fn complete_cp_instruction(&mut self, seq: u64, probe: Option<&mut Telemetry>) {
-        if let Some(t) = probe {
-            t.trace_stage(seq, Stage::Complete, self.cycle);
-        }
+    fn complete_cp_instruction<P: Probe>(&mut self, seq: u64, probe: &mut P) {
+        probe.trace_stage(seq, Stage::Complete, self.cycle);
         let (is_cond, taken, predicted, mispredicted, pc) = {
             let Some(entry) = self.rob.get_mut(seq) else {
                 return;
@@ -552,7 +544,7 @@ impl DkipProcessor {
     /// from the head of the Aging-ROB. Returns whether any instruction left
     /// the Aging-ROB.
     #[allow(clippy::too_many_lines)]
-    fn analyze(&mut self, mut probe: Option<&mut Telemetry>) -> bool {
+    fn analyze<P: Probe>(&mut self, probe: &mut P) -> bool {
         let mut advanced = false;
         let mut stalled = false;
         for _ in 0..self.cfg.cache_processor.widths.commit {
@@ -585,9 +577,7 @@ impl DkipProcessor {
                 self.stats.committed += 1;
                 self.stats.high_locality_instrs += 1;
                 self.analyzed_since_checkpoint += 1;
-                if let Some(t) = probe.as_deref_mut() {
-                    t.trace_commit(seq, self.cycle);
-                }
+                probe.trace_commit(seq, self.cycle);
                 advanced = true;
                 continue;
             }
@@ -616,9 +606,7 @@ impl DkipProcessor {
                     },
                 );
                 self.analyzed_since_checkpoint += 1;
-                if let Some(t) = probe.as_deref_mut() {
-                    t.trace_stage(seq, Stage::MpHandoff, self.cycle);
-                }
+                probe.trace_stage(seq, Stage::MpHandoff, self.cycle);
                 advanced = true;
                 continue;
             }
@@ -630,9 +618,7 @@ impl DkipProcessor {
                     break;
                 }
                 self.analyzed_since_checkpoint += 1;
-                if let Some(t) = probe.as_deref_mut() {
-                    t.trace_stage(seq, Stage::MpHandoff, self.cycle);
-                }
+                probe.trace_stage(seq, Stage::MpHandoff, self.cycle);
                 advanced = true;
                 continue;
             }
@@ -756,7 +742,7 @@ impl DkipProcessor {
         true
     }
 
-    fn cp_issue(&mut self, mut probe: Option<&mut Telemetry>) -> bool {
+    fn cp_issue<P: Probe>(&mut self, probe: &mut P) -> bool {
         let width = self.cfg.cache_processor.widths.issue;
         let mut selected = std::mem::take(&mut self.select_scratch);
         selected.clear();
@@ -770,9 +756,7 @@ impl DkipProcessor {
             &mut selected,
         );
         for &(seq, class) in &selected {
-            if let Some(t) = probe.as_deref_mut() {
-                t.trace_stage(seq, Stage::Issue, self.cycle);
-            }
+            probe.trace_stage(seq, Stage::Issue, self.cycle);
             self.start_cp_execution(seq, class);
         }
         let issued = !selected.is_empty();
@@ -824,7 +808,7 @@ impl DkipProcessor {
         }
     }
 
-    fn cp_dispatch(&mut self, mut probe: Option<&mut Telemetry>) -> bool {
+    fn cp_dispatch<P: Probe>(&mut self, probe: &mut P) -> bool {
         let mut dispatched = false;
         for _ in 0..self.cfg.cache_processor.widths.decode {
             let Some(op) = self.fetch_queue.front() else {
@@ -857,9 +841,7 @@ impl DkipProcessor {
             let op = self.fetch_queue.pop_front().expect("checked non-empty");
             dispatched = true;
             let seq = op.seq;
-            if let Some(t) = probe.as_deref_mut() {
-                t.trace_stage(seq, Stage::Dispatch, self.cycle);
-            }
+            probe.trace_stage(seq, Stage::Dispatch, self.cycle);
             let mut entry = RobEntry::new(op, self.cycle, queue_class);
 
             // Wire dependencies on producers still in the Cache Processor.
@@ -922,11 +904,7 @@ impl DkipProcessor {
         dispatched
     }
 
-    fn fetch(
-        &mut self,
-        trace: &mut dyn Iterator<Item = MicroOp>,
-        mut probe: Option<&mut Telemetry>,
-    ) -> bool {
+    fn fetch<P: Probe>(&mut self, trace: &mut dyn Iterator<Item = MicroOp>, probe: &mut P) -> bool {
         if !self.unresolved_mispredicts.is_empty() || self.cycle < self.fetch_resume_at {
             self.stats.mispredict_stall_cycles += 1;
             return false;
@@ -942,9 +920,7 @@ impl DkipProcessor {
                 break;
             };
             self.stats.fetched += 1;
-            if let Some(t) = probe.as_deref_mut() {
-                t.trace_fetch(&op, self.cycle);
-            }
+            probe.trace_fetch(&op, self.cycle);
             self.fetch_queue.push_back(op);
             fetched = true;
         }
@@ -957,11 +933,7 @@ impl DkipProcessor {
 /// and LLIB transfer, then the Cache Processor's writeback, Analyze, issue,
 /// dispatch and fetch.
 impl SimCore for DkipProcessor {
-    fn tick(
-        &mut self,
-        trace: &mut dyn Iterator<Item = MicroOp>,
-        mut probe: Option<&mut Telemetry>,
-    ) -> bool {
+    fn tick<P: Probe>(&mut self, trace: &mut dyn Iterator<Item = MicroOp>, probe: &mut P) -> bool {
         self.cycle += 1;
         self.stats.ticks_executed += 1;
         self.cp_fus.begin_cycle();
@@ -971,17 +943,17 @@ impl SimCore for DkipProcessor {
         arrived_loads.clear();
         self.ap.begin_cycle_into(self.cycle, &mut arrived_loads);
         for &load in &arrived_loads {
-            self.handle_load_value_arrival(load, probe.as_deref_mut());
+            self.handle_load_value_arrival(load, probe);
         }
         let mut progress = !arrived_loads.is_empty();
         self.arrived_scratch = arrived_loads;
-        progress |= self.drain_mp_completions(probe.as_deref_mut());
-        progress |= self.mp_issue(probe.as_deref_mut());
+        progress |= self.drain_mp_completions(probe);
+        progress |= self.mp_issue(probe);
         progress |= self.llib_to_mp_transfer();
-        progress |= self.cp_writeback(probe.as_deref_mut());
-        progress |= self.analyze(probe.as_deref_mut());
-        progress |= self.cp_issue(probe.as_deref_mut());
-        progress |= self.cp_dispatch(probe.as_deref_mut());
+        progress |= self.cp_writeback(probe);
+        progress |= self.analyze(probe);
+        progress |= self.cp_issue(probe);
+        progress |= self.cp_dispatch(probe);
         progress |= self.fetch(trace, probe);
         progress
     }

@@ -884,8 +884,6 @@ pub struct AddressProcessorConfig {
     pub lsq_capacity: usize,
     /// Global read/write memory ports (Table 2: 2).
     pub memory_ports: usize,
-    /// Capacity of each long-latency load-value FIFO (one per LLIB).
-    pub load_value_fifo_capacity: usize,
 }
 
 impl AddressProcessorConfig {
@@ -895,7 +893,6 @@ impl AddressProcessorConfig {
         AddressProcessorConfig {
             lsq_capacity: 512,
             memory_ports: 2,
-            load_value_fifo_capacity: 512,
         }
     }
 
@@ -914,12 +911,6 @@ impl AddressProcessorConfig {
         if self.memory_ports == 0 {
             return Err(ConfigError::new(
                 "address_processor.memory_ports",
-                "must be positive",
-            ));
-        }
-        if self.load_value_fifo_capacity == 0 {
-            return Err(ConfigError::new(
-                "address_processor.load_value_fifo_capacity",
                 "must be positive",
             ));
         }
@@ -1080,8 +1071,6 @@ pub struct KiloConfig {
     pub name: String,
     /// Pseudo-ROB capacity (64 in the paper).
     pub pseudo_rob_capacity: usize,
-    /// Pseudo-ROB timer, analogous to the Aging-ROB timer.
-    pub pseudo_rob_timer: u64,
     /// Slow-Lane Instruction Queue capacity (1024 in the paper).
     pub sliq_capacity: usize,
     /// Main issue-queue capacity (72 in the paper).
@@ -1096,8 +1085,6 @@ pub struct KiloConfig {
     pub fu: FuConfig,
     /// Front-end refill penalty after a mispredicted branch resolves.
     pub mispredict_penalty: u64,
-    /// Checkpointing for recovery of SLIQ instructions.
-    pub checkpoint: CheckpointConfig,
 }
 
 impl KiloConfig {
@@ -1108,7 +1095,6 @@ impl KiloConfig {
         KiloConfig {
             name: "KILO-1024".to_owned(),
             pseudo_rob_capacity: 64,
-            pseudo_rob_timer: 16,
             sliq_capacity: 1024,
             iq_capacity: 72,
             lsq_capacity: 512,
@@ -1116,7 +1102,6 @@ impl KiloConfig {
             widths: WidthConfig::four_wide(),
             fu: FuConfig::paper_default(),
             mispredict_penalty: DEFAULT_MISPREDICT_PENALTY,
-            checkpoint: CheckpointConfig::paper_default(),
         }
     }
 
@@ -1146,7 +1131,6 @@ impl KiloConfig {
         }
         self.widths.validate()?;
         self.fu.validate()?;
-        self.checkpoint.validate()?;
         Ok(())
     }
 }

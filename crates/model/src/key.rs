@@ -258,11 +258,9 @@ impl StableKey for AddressProcessorConfig {
         let AddressProcessorConfig {
             lsq_capacity,
             memory_ports,
-            load_value_fifo_capacity,
         } = self;
         w.field("lsq_capacity", lsq_capacity);
         w.field("memory_ports", memory_ports);
-        w.field("load_value_fifo_capacity", load_value_fifo_capacity);
     }
 }
 
@@ -303,7 +301,6 @@ impl StableKey for KiloConfig {
         let KiloConfig {
             name,
             pseudo_rob_capacity,
-            pseudo_rob_timer,
             sliq_capacity,
             iq_capacity,
             lsq_capacity,
@@ -311,11 +308,9 @@ impl StableKey for KiloConfig {
             widths,
             fu,
             mispredict_penalty,
-            checkpoint,
         } = self;
         w.field("name", name);
         w.field("pseudo_rob_capacity", pseudo_rob_capacity);
-        w.field("pseudo_rob_timer", pseudo_rob_timer);
         w.field("sliq_capacity", sliq_capacity);
         w.field("iq_capacity", iq_capacity);
         w.field("lsq_capacity", lsq_capacity);
@@ -323,7 +318,6 @@ impl StableKey for KiloConfig {
         w.scoped("widths", |w| widths.write_key(w));
         w.scoped("fu", |w| fu.write_key(w));
         w.field("mispredict_penalty", mispredict_penalty);
-        w.scoped("ckpt", |w| checkpoint.write_key(w));
     }
 }
 

@@ -15,9 +15,9 @@
 //!   record reported by every simulation,
 //! * [`collections`] — deterministic, allocation-conscious containers for
 //!   the per-cycle hot path of the core models,
-//! * [`telemetry`] — the optional intra-run probe sink (interval
-//!   time-series metrics and Konata/O3PipeView pipeline traces) the cores
-//!   drive from inside their cycle loops,
+//! * [`telemetry`] — the [`telemetry::Probe`] hooks the cores call from
+//!   inside their cycle loops, and the [`telemetry::Telemetry`] probe
+//!   (interval time-series metrics and Konata/O3PipeView pipeline traces),
 //! * [`warm`] — the [`warm::WarmSink`] through which instruction sources
 //!   report skipped instructions' memory accesses and branch outcomes to
 //!   a functionally warmed core,
@@ -64,5 +64,7 @@ pub use op::{FuPool, OpClass};
 pub use reg::{ArchReg, PhysReg, RegClass, FP_ARCH_REGS, INT_ARCH_REGS, TOTAL_ARCH_REGS};
 pub use sim_core::{drive, SimCore};
 pub use stats::{Histogram, IpcEstimate, SampleEstimator, SimStats, WindowSample};
-pub use telemetry::{MetricsConfig, MetricsFrame, Stage, Telemetry, TraceConfig, METRICS_ENV};
+pub use telemetry::{
+    MetricsConfig, MetricsFrame, NoProbe, Probe, Stage, Telemetry, TraceConfig, METRICS_ENV,
+};
 pub use warm::{WarmLog, WarmSink};

@@ -10,7 +10,7 @@
 
 use crate::instr::MicroOp;
 use crate::stats::SimStats;
-use crate::telemetry::{MetricsFrame, Telemetry};
+use crate::telemetry::{MetricsFrame, Probe};
 use crate::warm::WarmSink;
 
 /// A cycle-level core that [`drive`] can run. A core is also a
@@ -24,13 +24,9 @@ pub trait SimCore: WarmSink {
     /// cycle until [`SimCore::next_event`] would be identical.
     ///
     /// Fetching from an exhausted `trace` latches the end of the trace for
-    /// [`SimCore::is_drained`]. The telemetry sink observes exactly the
-    /// work the progress flag reports.
-    fn tick(
-        &mut self,
-        trace: &mut dyn Iterator<Item = MicroOp>,
-        probe: Option<&mut Telemetry>,
-    ) -> bool;
+    /// [`SimCore::is_drained`]. The probe observes exactly the work the
+    /// progress flag reports.
+    fn tick<P: Probe>(&mut self, trace: &mut dyn Iterator<Item = MicroOp>, probe: &mut P) -> bool;
 
     /// The earliest future cycle (strictly after the current one) at which
     /// the core's state can change without new work arriving. `None`
@@ -78,15 +74,15 @@ pub trait SimCore: WarmSink {
 /// stall counters bumped by the skipped delta, so every statistic stays
 /// bit-identical to ticking each cycle.
 ///
-/// With a telemetry sink attached, an interval-metrics row is recorded
-/// whenever the committed counter crosses a row boundary. The sink is a
-/// run parameter, not core state; `None` costs one predictable branch per
-/// probe site and the statistics are identical either way.
-pub fn drive<C: SimCore>(
+/// The probe sees every stage of every µop, and gets an interval-metrics
+/// frame whenever it says a row is due. It is a run parameter, not core
+/// state, and a type parameter: [`crate::NoProbe`] compiles to no probe
+/// code, and the statistics are identical whichever probe is attached.
+pub fn drive<C: SimCore, P: Probe>(
     core: &mut C,
     trace: &mut dyn Iterator<Item = MicroOp>,
     max_instrs: u64,
-    mut probe: Option<&mut Telemetry>,
+    probe: &mut P,
 ) -> SimStats {
     let cycle_cap = core
         .cycle()
@@ -94,11 +90,9 @@ pub fn drive<C: SimCore>(
     core.rearm_trace();
     while core.stats().committed < max_instrs && core.cycle() < cycle_cap {
         let stalls_before = core.stats().stall_counter_snapshot();
-        let progress = core.tick(trace, probe.as_deref_mut());
-        if let Some(t) = probe.as_deref_mut() {
-            if t.metrics_due(core.stats().committed) {
-                t.record_metrics(&core.metrics_frame());
-            }
+        let progress = core.tick(trace, probe);
+        if probe.metrics_due(core.stats().committed) {
+            probe.record_metrics(&core.metrics_frame());
         }
         if core.is_drained() {
             break;
@@ -125,6 +119,7 @@ pub fn drive<C: SimCore>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::NoProbe;
 
     /// A core whose every tick commits `per_tick` instructions while the
     /// trace lasts, and that can wake itself every `event_every` cycles.
@@ -145,10 +140,10 @@ mod tests {
     }
 
     impl SimCore for FakeCore {
-        fn tick(
+        fn tick<P: Probe>(
             &mut self,
             trace: &mut dyn Iterator<Item = MicroOp>,
-            _probe: Option<&mut Telemetry>,
+            _probe: &mut P,
         ) -> bool {
             self.cycle += 1;
             self.stats.ticks_executed += 1;
@@ -180,7 +175,11 @@ mod tests {
         }
 
         fn metrics_frame(&self) -> MetricsFrame {
-            MetricsFrame::default()
+            MetricsFrame {
+                cycle: self.cycle,
+                committed: self.stats.committed,
+                ..MetricsFrame::default()
+            }
         }
 
         fn finalize_stats(&mut self) {
@@ -215,7 +214,7 @@ mod tests {
     #[test]
     fn a_core_that_never_commits_stops_at_the_cycle_cap() {
         let mut core = FakeCore::default();
-        let stats = drive(&mut core, &mut endless(), 10, None);
+        let stats = drive(&mut core, &mut endless(), 10, &mut NoProbe);
         assert!(stats.committed < 10);
         assert_eq!(stats.cycles, 1_000_000, "the cap is 1M cycles at minimum");
         assert_eq!(stats.rob_full_stall_cycles, stats.cycles);
@@ -224,7 +223,7 @@ mod tests {
     #[test]
     fn the_cycle_cap_is_reached_by_skipping() {
         let mut core = FakeCore::default();
-        let stats = drive(&mut core, &mut endless(), 10, None);
+        let stats = drive(&mut core, &mut endless(), 10, &mut NoProbe);
         assert_eq!(stats.ticks_executed, 1, "one tick, then one jump");
         assert_eq!(stats.ticks_executed + stats.cycles_skipped, stats.cycles);
 
@@ -232,7 +231,7 @@ mod tests {
             single_step: true,
             ..FakeCore::default()
         };
-        let reference = drive(&mut stepped, &mut endless(), 10, None);
+        let reference = drive(&mut stepped, &mut endless(), 10, &mut NoProbe);
         assert_eq!(stats.to_kv(), reference.to_kv());
         assert_eq!(reference.ticks_executed, reference.cycles);
     }
@@ -243,7 +242,7 @@ mod tests {
             event_every: Some(1_000),
             ..FakeCore::default()
         };
-        let stats = drive(&mut core, &mut endless(), 10, None);
+        let stats = drive(&mut core, &mut endless(), 10, &mut NoProbe);
         // A tick at cycle 1, then a skip and a tick at every multiple of
         // 1000 up to the cap.
         assert_eq!(stats.cycles, 1_000_000);
@@ -258,14 +257,14 @@ mod tests {
             ..FakeCore::default()
         };
         let mut trace = endless().take(10);
-        let stats = drive(&mut core, &mut trace, u64::MAX, None);
+        let stats = drive(&mut core, &mut trace, u64::MAX, &mut NoProbe);
         assert_eq!(stats.committed, 10);
         assert_eq!(stats.cycles, 3, "4 + 4 + 2 ops, drained on the third tick");
 
         // The next run brings a fresh trace: the latch must not carry over
         // and stop it after one tick.
         let mut more = endless().take(10);
-        let stats = drive(&mut core, &mut more, u64::MAX, None);
+        let stats = drive(&mut core, &mut more, u64::MAX, &mut NoProbe);
         assert_eq!(stats.committed, 20);
     }
 
@@ -275,8 +274,48 @@ mod tests {
             per_tick: 4,
             ..FakeCore::default()
         };
-        let stats = drive(&mut core, &mut endless(), 10, None);
+        let stats = drive(&mut core, &mut endless(), 10, &mut NoProbe);
         assert_eq!(stats.committed, 12, "commit overshoots by the tick width");
         assert_eq!(stats.cycles, 3);
+    }
+
+    /// A probe that asks for a metrics row every `interval` committed
+    /// instructions and keeps the committed count of each row it gets.
+    struct RowRecorder {
+        interval: u64,
+        next_at: u64,
+        rows: Vec<u64>,
+    }
+
+    impl Probe for RowRecorder {
+        fn metrics_due(&self, committed: u64) -> bool {
+            committed >= self.next_at
+        }
+
+        fn record_metrics(&mut self, frame: &MetricsFrame) {
+            self.rows.push(frame.committed);
+            self.next_at = (frame.committed / self.interval + 1) * self.interval;
+        }
+    }
+
+    #[test]
+    fn a_probe_gets_one_metrics_row_per_boundary_and_changes_nothing() {
+        let fake = || FakeCore {
+            per_tick: 4,
+            ..FakeCore::default()
+        };
+        let mut recorder = RowRecorder {
+            interval: 5,
+            next_at: 5,
+            rows: Vec::new(),
+        };
+        let probed = drive(&mut fake(), &mut endless(), 22, &mut recorder);
+        // Commits reach 4, 8, …, 24: the boundaries 5, 10, 15 and 20 are
+        // each crossed by a different tick.
+        assert_eq!(probed.committed, 24);
+        assert_eq!(recorder.rows, [8, 12, 16, 20]);
+
+        let unprobed = drive(&mut fake(), &mut endless(), 22, &mut NoProbe);
+        assert_eq!(probed.to_kv(), unprobed.to_kv());
     }
 }

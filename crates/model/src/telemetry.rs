@@ -27,20 +27,22 @@
 //!
 //! # Probe contract
 //!
-//! The sink is threaded through the cores as an `Option<&mut Telemetry>`
-//! *run parameter* — never a core field, so core snapshots (`Clone`) and
-//! the sampled-simulation checkpoints are unaffected. When the option is
-//! `None` the hot path pays one predictable branch per probe site and
-//! performs no allocation; when it is `Some` the probes only read state the
-//! tick has already produced. Either way the simulation itself must stay
+//! The cores call their hooks through the [`Probe`] trait, and the probe is
+//! a type parameter of [`crate::drive`] and of every pipeline stage, passed
+//! as `&mut P` — a *run parameter*, never a core field, so core snapshots
+//! (`Clone`) and the sampled-simulation checkpoints are unaffected. Each
+//! probe site is one unconditional call. The zero-sized [`NoProbe`] keeps
+//! the trait's empty defaults, so an unprobed run compiles to no probe code
+//! at all; [`Telemetry`] and any test probe only read state the tick has
+//! already produced. Either way the simulation itself must stay
 //! **bit-identical**: golden snapshots, skip-equivalence, sampling and the
-//! differential-fuzz oracle all hold with probes attached or detached
+//! differential-fuzz oracle all hold with [`Telemetry`] attached or not
 //! (`tests/telemetry_invariance.rs` pins this).
 //!
-//! Any new pipeline stage must feed the sink at the same point where it
+//! Any new pipeline stage must feed the probe at the same point where it
 //! feeds the event-driven clock's per-tick progress flag: if a stage can
 //! make progress, that progress must be visible to both the skip logic and
-//! the trace.
+//! the probe.
 //!
 //! Output is buffered in memory and written by [`Telemetry::write_files`]
 //! after the run, keeping file I/O off the simulated path entirely.
@@ -61,10 +63,10 @@ pub const METRICS_ENV: &str = "DKIP_METRICS";
 /// explicit `:<ops>` bound.
 pub const DEFAULT_TRACE_OPS: u64 = 100_000;
 
-/// A per-µop pipeline stage reported through [`Telemetry::trace_stage`].
+/// A per-µop pipeline stage reported through [`Probe::trace_stage`].
 ///
 /// Fetch and commit have dedicated entry points
-/// ([`Telemetry::trace_fetch`], [`Telemetry::trace_commit`]) because fetch
+/// ([`Probe::trace_fetch`], [`Probe::trace_commit`]) because fetch
 /// opens a µop record (it needs the [`MicroOp`] itself) and commit closes
 /// and emits it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -235,7 +237,7 @@ impl fmt::Display for TraceConfig {
     }
 }
 
-/// A point-in-time snapshot a core hands to [`Telemetry::record_metrics`]
+/// A point-in-time snapshot a core hands to [`Probe::record_metrics`]
 /// at an interval boundary. Occupancies are instantaneous; every other
 /// counter is cumulative since the start of the run (the sink differences
 /// consecutive frames to produce interval rates).
@@ -291,6 +293,43 @@ pub const METRICS_COLUMNS: [&str; 15] = [
     "cycles_skipped",
     "skipped_fraction",
 ];
+
+/// The hooks a core calls while [`crate::drive`] runs it: per-µop stage
+/// stamps and per-interval metrics. Every method defaults to doing nothing,
+/// so a probe overrides only what it observes and [`NoProbe`] compiles to
+/// nothing. A probe observes; it never changes what the core simulates.
+pub trait Probe {
+    /// A µop was fetched at `cycle`.
+    #[inline]
+    fn trace_fetch(&mut self, _op: &MicroOp, _cycle: u64) {}
+
+    /// The µop `seq` reached `stage` at `cycle`. A stage may be reported
+    /// more than once for one µop; the first report is the earliest.
+    #[inline]
+    fn trace_stage(&mut self, _seq: u64, _stage: Stage, _cycle: u64) {}
+
+    /// The µop `seq` committed at `cycle`.
+    #[inline]
+    fn trace_commit(&mut self, _seq: u64, _cycle: u64) {}
+
+    /// Whether `committed` has reached the next metrics-row boundary.
+    /// Called once per executed tick; must stay branch-cheap.
+    #[inline]
+    fn metrics_due(&self, _committed: u64) -> bool {
+        false
+    }
+
+    /// Records one interval-metrics snapshot. Called only when
+    /// [`Probe::metrics_due`] said so.
+    #[inline]
+    fn record_metrics(&mut self, _frame: &MetricsFrame) {}
+}
+
+/// The probe of an unprobed run: zero-sized, every hook empty.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NoProbe;
+
+impl Probe for NoProbe {}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum MetricsFormat {
@@ -409,11 +448,64 @@ impl Telemetry {
         self.trace.is_some()
     }
 
+    /// Number of metrics rows emitted so far.
+    #[must_use]
+    pub fn metrics_rows(&self) -> u64 {
+        self.metrics.as_ref().map_or(0, |m| m.rows)
+    }
+
+    /// Number of µop blocks emitted (committed traced µops).
+    #[must_use]
+    pub fn trace_retired(&self) -> u64 {
+        self.trace.as_ref().map_or(0, |t| t.retired)
+    }
+
+    /// Whether the trace window budget was exhausted before the run ended.
+    #[must_use]
+    pub fn trace_budget_exhausted(&self) -> bool {
+        self.trace.as_ref().is_some_and(|t| t.remaining == 0)
+    }
+
+    /// The buffered metrics output (CSV or JSON-lines).
+    #[must_use]
+    pub fn metrics_text(&self) -> &str {
+        self.metrics.as_ref().map_or("", |m| m.out.as_str())
+    }
+
+    /// The buffered O3PipeView trace output.
+    #[must_use]
+    pub fn trace_text(&self) -> &str {
+        self.trace.as_ref().map_or("", |t| t.out.as_str())
+    }
+
+    /// Writes each backend's buffered output to its configured path (a
+    /// no-op for backends without one, e.g. [`Telemetry::buffered`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the I/O error of a failed write.
+    pub fn write_files(&self) -> std::io::Result<()> {
+        if let Some(m) = &self.metrics {
+            if let Some(path) = &m.path {
+                std::fs::write(path, &m.out)?;
+            }
+        }
+        if let Some(t) = &self.trace {
+            if let Some(path) = &t.path {
+                std::fs::write(path, &t.out)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The file-backed (or buffered) probe: interval metrics rows and
+/// O3PipeView blocks.
+impl Probe for Telemetry {
     /// Whether `committed` has reached the next metrics-row boundary.
     /// Called once per executed tick; must stay branch-cheap.
     #[inline]
-    #[must_use]
-    pub fn metrics_due(&self, committed: u64) -> bool {
+    fn metrics_due(&self, committed: u64) -> bool {
         match &self.metrics {
             Some(m) => committed >= m.next_at,
             None => false,
@@ -425,7 +517,7 @@ impl Telemetry {
     /// past `frame.committed` (a multi-commit tick crossing several
     /// boundaries emits a single row — the row carries the actual cycle
     /// and committed counts, so consumers see the true spacing).
-    pub fn record_metrics(&mut self, frame: &MetricsFrame) {
+    fn record_metrics(&mut self, frame: &MetricsFrame) {
         let Some(m) = &mut self.metrics else { return };
         let d_cycle = frame.cycle - m.last.cycle;
         let d_committed = frame.committed - m.last.committed;
@@ -492,7 +584,7 @@ impl Telemetry {
     /// Opens a trace record for a fetched µop, charging the window budget.
     /// Past the budget (or with tracing off) this is a no-op.
     #[inline]
-    pub fn trace_fetch(&mut self, op: &MicroOp, cycle: u64) {
+    fn trace_fetch(&mut self, op: &MicroOp, cycle: u64) {
         let Some(t) = &mut self.trace else { return };
         if t.remaining == 0 {
             return;
@@ -518,7 +610,7 @@ impl Telemetry {
     /// even though the Address Processor finishes it). Untracked µops —
     /// tracing off or past the window budget — are no-ops.
     #[inline]
-    pub fn trace_stage(&mut self, seq: u64, stage: Stage, cycle: u64) {
+    fn trace_stage(&mut self, seq: u64, stage: Stage, cycle: u64) {
         let Some(t) = &mut self.trace else { return };
         let Some(r) = t.records.get_mut(&seq) else {
             return;
@@ -541,7 +633,7 @@ impl Telemetry {
     /// monotone by construction — `trace_check` re-validates this from the
     /// file.
     #[inline]
-    pub fn trace_commit(&mut self, seq: u64, cycle: u64) {
+    fn trace_commit(&mut self, seq: u64, cycle: u64) {
         let Some(t) = &mut self.trace else { return };
         let Some(r) = t.records.remove(&seq) else {
             return;
@@ -569,56 +661,6 @@ impl Telemetry {
         let _ = writeln!(t.out, "O3PipeView:complete:{complete}");
         let _ = writeln!(t.out, "O3PipeView:retire:{retire}:store:0");
         t.retired += 1;
-    }
-
-    /// Number of metrics rows emitted so far.
-    #[must_use]
-    pub fn metrics_rows(&self) -> u64 {
-        self.metrics.as_ref().map_or(0, |m| m.rows)
-    }
-
-    /// Number of µop blocks emitted (committed traced µops).
-    #[must_use]
-    pub fn trace_retired(&self) -> u64 {
-        self.trace.as_ref().map_or(0, |t| t.retired)
-    }
-
-    /// Whether the trace window budget was exhausted before the run ended.
-    #[must_use]
-    pub fn trace_budget_exhausted(&self) -> bool {
-        self.trace.as_ref().is_some_and(|t| t.remaining == 0)
-    }
-
-    /// The buffered metrics output (CSV or JSON-lines).
-    #[must_use]
-    pub fn metrics_text(&self) -> &str {
-        self.metrics.as_ref().map_or("", |m| m.out.as_str())
-    }
-
-    /// The buffered O3PipeView trace output.
-    #[must_use]
-    pub fn trace_text(&self) -> &str {
-        self.trace.as_ref().map_or("", |t| t.out.as_str())
-    }
-
-    /// Writes each backend's buffered output to its configured path (a
-    /// no-op for backends without one, e.g. [`Telemetry::buffered`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the I/O error of a failed write.
-    pub fn write_files(&self) -> std::io::Result<()> {
-        if let Some(m) = &self.metrics {
-            if let Some(path) = &m.path {
-                std::fs::write(path, &m.out)?;
-            }
-        }
-        if let Some(t) = &self.trace {
-            if let Some(path) = &t.path {
-                std::fs::write(path, &t.out)?;
-            }
-        }
-        Ok(())
     }
 }
 

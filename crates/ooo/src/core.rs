@@ -21,7 +21,7 @@ use dkip_mem::{AccessLevel, MemoryHierarchy};
 use dkip_model::config::{
     event_clock_enabled, BaselineConfig, FuConfig, MemoryHierarchyConfig, SchedPolicy, WidthConfig,
 };
-use dkip_model::telemetry::{MetricsFrame, Stage, Telemetry};
+use dkip_model::telemetry::{MetricsFrame, NoProbe, Probe, Stage};
 use dkip_model::{
     drive, ConsumerTable, DepList, Histogram, LastWriters, MicroOp, OpClass, RegClass, SimCore,
     SimStats, WarmSink,
@@ -239,13 +239,13 @@ impl OooCore {
     /// is hit, and returns the accumulated statistics. See [`drive`], which
     /// also fast-forwards quiesced stretches bit-identically.
     pub fn run(&mut self, trace: &mut dyn Iterator<Item = MicroOp>, max_instrs: u64) -> SimStats {
-        drive(self, trace, max_instrs, None)
+        drive(self, trace, max_instrs, &mut NoProbe)
     }
 
     // ------------------------------------------------------------------
     // Commit
     // ------------------------------------------------------------------
-    fn do_commit(&mut self, mut probe: Option<&mut Telemetry>) -> bool {
+    fn do_commit<P: Probe>(&mut self, probe: &mut P) -> bool {
         let mut committed = false;
         for _ in 0..self.params.widths.commit {
             let Some(head) = self.rob.head() else { break };
@@ -264,9 +264,7 @@ impl OooCore {
             }
             self.stats.committed += 1;
             self.stats.high_locality_instrs += 1;
-            if let Some(t) = probe.as_deref_mut() {
-                t.trace_commit(entry.op.seq, self.cycle);
-            }
+            probe.trace_commit(entry.op.seq, self.cycle);
         }
         committed
     }
@@ -274,7 +272,7 @@ impl OooCore {
     // ------------------------------------------------------------------
     // Writeback / wakeup
     // ------------------------------------------------------------------
-    fn do_writeback(&mut self, mut probe: Option<&mut Telemetry>) -> bool {
+    fn do_writeback<P: Probe>(&mut self, probe: &mut P) -> bool {
         let mut completed = false;
         while let Some(&Reverse((cycle, seq))) = self.completions.peek() {
             if cycle > self.cycle {
@@ -282,15 +280,13 @@ impl OooCore {
             }
             completed = true;
             self.completions.pop();
-            self.complete_instruction(seq, probe.as_deref_mut());
+            self.complete_instruction(seq, probe);
         }
         completed
     }
 
-    fn complete_instruction(&mut self, seq: u64, probe: Option<&mut Telemetry>) {
-        if let Some(t) = probe {
-            t.trace_stage(seq, Stage::Complete, self.cycle);
-        }
+    fn complete_instruction<P: Probe>(&mut self, seq: u64, probe: &mut P) {
+        probe.trace_stage(seq, Stage::Complete, self.cycle);
         let (is_cond_branch, taken, predicted, mispredicted, pc) = {
             let Some(entry) = self.rob.get_mut(seq) else {
                 return;
@@ -387,7 +383,7 @@ impl OooCore {
     // ------------------------------------------------------------------
     // Issue / execute
     // ------------------------------------------------------------------
-    fn do_issue(&mut self, mut probe: Option<&mut Telemetry>) -> bool {
+    fn do_issue<P: Probe>(&mut self, probe: &mut P) -> bool {
         let width = self.params.widths.issue;
         let mut selected = std::mem::take(&mut self.issue_scratch);
         selected.clear();
@@ -398,9 +394,7 @@ impl OooCore {
             .select_into(remaining, &mut self.fus, &mut self.ports, &mut selected);
 
         for &(seq, class) in &selected {
-            if let Some(t) = probe.as_deref_mut() {
-                t.trace_stage(seq, Stage::Issue, self.cycle);
-            }
+            probe.trace_stage(seq, Stage::Issue, self.cycle);
             self.start_execution(seq, class);
         }
         let issued = !selected.is_empty();
@@ -488,7 +482,7 @@ impl OooCore {
     // ------------------------------------------------------------------
     // Dispatch / rename
     // ------------------------------------------------------------------
-    fn do_dispatch(&mut self, mut probe: Option<&mut Telemetry>) -> bool {
+    fn do_dispatch<P: Probe>(&mut self, probe: &mut P) -> bool {
         let mut dispatched = false;
         for _ in 0..self.params.widths.decode {
             let Some(op) = self.fetch_queue.front() else {
@@ -557,9 +551,7 @@ impl OooCore {
             let op = self.fetch_queue.pop_front().expect("checked non-empty");
             dispatched = true;
             let seq = op.seq;
-            if let Some(t) = probe.as_deref_mut() {
-                t.trace_stage(seq, Stage::Dispatch, self.cycle);
-            }
+            probe.trace_stage(seq, Stage::Dispatch, self.cycle);
             let mut entry = RobEntry::new(op, self.cycle, queue_class);
 
             // Wire dependencies.
@@ -619,10 +611,10 @@ impl OooCore {
     // ------------------------------------------------------------------
     // Fetch
     // ------------------------------------------------------------------
-    fn do_fetch(
+    fn do_fetch<P: Probe>(
         &mut self,
         trace: &mut dyn Iterator<Item = MicroOp>,
-        mut probe: Option<&mut Telemetry>,
+        probe: &mut P,
     ) -> bool {
         if !self.unresolved_mispredicts.is_empty() || self.cycle < self.fetch_resume_at {
             self.stats.mispredict_stall_cycles += 1;
@@ -639,9 +631,7 @@ impl OooCore {
                 break;
             };
             self.stats.fetched += 1;
-            if let Some(t) = probe.as_deref_mut() {
-                t.trace_fetch(&op, self.cycle);
-            }
+            probe.trace_fetch(&op, self.cycle);
             self.fetch_queue.push_back(op);
             fetched = true;
         }
@@ -653,20 +643,16 @@ impl OooCore {
 /// writeback/wakeup, slow-lane reinsert, issue, dispatch and fetch, in that
 /// order.
 impl SimCore for OooCore {
-    fn tick(
-        &mut self,
-        trace: &mut dyn Iterator<Item = MicroOp>,
-        mut probe: Option<&mut Telemetry>,
-    ) -> bool {
+    fn tick<P: Probe>(&mut self, trace: &mut dyn Iterator<Item = MicroOp>, probe: &mut P) -> bool {
         self.cycle += 1;
         self.stats.ticks_executed += 1;
         self.fus.begin_cycle();
         self.ports.begin_cycle();
-        let mut progress = self.do_commit(probe.as_deref_mut());
-        progress |= self.do_writeback(probe.as_deref_mut());
+        let mut progress = self.do_commit(probe);
+        progress |= self.do_writeback(probe);
         progress |= self.do_reinsert();
-        progress |= self.do_issue(probe.as_deref_mut());
-        progress |= self.do_dispatch(probe.as_deref_mut());
+        progress |= self.do_issue(probe);
+        progress |= self.do_dispatch(probe);
         progress |= self.do_fetch(trace, probe);
         progress
     }
@@ -1060,7 +1046,7 @@ mod tests {
         // Fetch → dispatch → issue takes a few cycles; once something is
         // executing, a completion event must be pending.
         for _ in 0..20 {
-            core.tick(&mut trace, None);
+            core.tick(&mut trace, &mut NoProbe);
             if let Some(event) = core.next_event() {
                 assert!(event > core.cycle());
                 return;

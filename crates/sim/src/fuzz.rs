@@ -269,7 +269,7 @@ fn run_family(
         // Both backends live, buffered in memory: a dense metrics interval
         // plus an uncapped-in-practice trace window for fuzz-sized programs.
         let mut telemetry = Telemetry::buffered(Some(256), Some(1 << 20));
-        machine.simulate_stream_probed(mem, &mut stream, budget, Some(&mut telemetry))
+        machine.build(mem).run(&mut stream, budget, &mut telemetry)
     } else {
         machine.simulate_stream(mem, &mut stream, budget)
     };

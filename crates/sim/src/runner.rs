@@ -39,7 +39,8 @@ use dkip_model::config::{
     event_clock_enabled, BaselineConfig, DkipConfig, KiloConfig, MemoryHierarchyConfig,
 };
 use dkip_model::{
-    drive, KeyWriter, MetricsConfig, MicroOp, SampleConfig, SimCore, SimStats, StableKey, Telemetry,
+    drive, KeyWriter, MetricsConfig, MicroOp, NoProbe, Probe, SampleConfig, SimCore, SimStats,
+    StableKey, Telemetry,
 };
 use dkip_ooo::OooCore;
 
@@ -128,23 +129,7 @@ impl Machine {
         stream: &mut dyn Iterator<Item = MicroOp>,
         budget: u64,
     ) -> SimStats {
-        self.simulate_stream_probed(mem, stream, budget, None)
-    }
-
-    /// [`Machine::simulate_stream`] with an optional telemetry sink
-    /// attached. A detached probe (`None`) is bit-identical to not probing
-    /// at all; a sink collects interval metrics and/or a
-    /// Konata/O3PipeView pipeline trace without perturbing the simulated
-    /// statistics.
-    #[must_use]
-    pub fn simulate_stream_probed(
-        &self,
-        mem: &MemoryHierarchyConfig,
-        stream: &mut dyn Iterator<Item = MicroOp>,
-        budget: u64,
-        probe: Option<&mut Telemetry>,
-    ) -> SimStats {
-        self.build(mem).run(stream, budget, probe)
+        self.build(mem).run(stream, budget, &mut NoProbe)
     }
 }
 
@@ -166,12 +151,12 @@ pub enum Core {
 impl Core {
     /// Runs the core through [`drive`] until `max_instrs` instructions have
     /// committed in total (the bound is cumulative across calls) or a
-    /// finite stream drains, with an optional telemetry sink attached.
-    pub fn run(
+    /// finite stream drains, with `probe` attached ([`NoProbe`] for none).
+    pub fn run<P: Probe>(
         &mut self,
         stream: &mut dyn Iterator<Item = MicroOp>,
         max_instrs: u64,
-        probe: Option<&mut Telemetry>,
+        probe: &mut P,
     ) -> SimStats {
         match self {
             Core::Ooo(core) => drive(core.as_mut(), stream, max_instrs, probe),
@@ -449,11 +434,10 @@ impl Job {
                         let per_job = metrics.for_job(&self.metrics_tag());
                         let mut telemetry = Telemetry::from_configs(Some(&per_job), None);
                         let mut stream = self.workload.stream(self.seed);
-                        let stats = self.machine.simulate_stream_probed(
-                            &self.mem,
+                        let stats = self.machine.build(&self.mem).run(
                             &mut stream,
                             self.budget,
-                            Some(&mut telemetry),
+                            &mut telemetry,
                         );
                         match chaos::fail_io(FaultPoint::MetricsWrite) {
                             Some(injected) => Err(injected),

@@ -52,7 +52,9 @@
 //! small relative-error band against exact IPC on every golden suite.
 
 use dkip_model::config::MemoryHierarchyConfig;
-use dkip_model::{IpcEstimate, MicroOp, SampleConfig, SampleEstimator, SimStats, WindowSample};
+use dkip_model::{
+    IpcEstimate, MicroOp, NoProbe, SampleConfig, SampleEstimator, SimStats, WindowSample,
+};
 
 use crate::runner::{Core, Machine};
 use crate::workload::WorkloadStream;
@@ -187,7 +189,7 @@ fn run_periods(
         // statistics; empty pipeline) runs the warmup, then the measured
         // window, on the live stream.
         let warm_committed = if sample.warmup > 0 {
-            core.run(&mut counted, committed_base + sample.warmup, None)
+            core.run(&mut counted, committed_base + sample.warmup, &mut NoProbe)
                 .committed
                 - committed_base
         } else {
@@ -195,7 +197,7 @@ fn run_periods(
         };
         let warm_cycle = core.cycle();
         let detailed_target = sample.warmup + sample.window;
-        let stats = core.run(&mut counted, committed_base + detailed_target, None);
+        let stats = core.run(&mut counted, committed_base + detailed_target, &mut NoProbe);
         let window_committed = stats.committed - committed_base - warm_committed;
         let window_cycles = core.cycle() - warm_cycle;
         if window_committed > 0 {
@@ -209,7 +211,7 @@ fn run_periods(
         // Drain the in-flight tail by running against an exhausted stream,
         // so the next window's post-gap ops (whose sequence numbers are
         // discontinuous) enter an empty pipeline.
-        drained = core.run(&mut std::iter::empty(), u64::MAX, None);
+        drained = core.run(&mut std::iter::empty(), u64::MAX, &mut NoProbe);
         committed_base = drained.committed;
         if exhausted {
             break; // finite stream ended inside the detailed portion

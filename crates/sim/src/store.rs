@@ -72,7 +72,7 @@ pub const CACHE_SALT_ENV: &str = "DKIP_CACHE_SALT";
 /// Manually bumped whenever simulated results change without any config
 /// struct changing shape (e.g. a timing-model bug fix). Part of the cache
 /// salt, so bumping it invalidates every cached result.
-pub const RESULTS_EPOCH: u32 = 1;
+pub const RESULTS_EPOCH: u32 = 2;
 
 /// On-disk entry format version (first line of every entry file).
 pub const STORE_VERSION: &str = "dkip-store v1";

@@ -18,7 +18,7 @@
 //! * the continuation's final [`SimStats::to_kv`] serialisation must equal
 //!   the reference's byte for byte.
 
-use dkip::model::SimStats;
+use dkip::model::{NoProbe, SimStats};
 use dkip::sim::runner::Job;
 use dkip::sim::{suites, Core, SweepRunner};
 
@@ -28,12 +28,12 @@ use dkip::sim::{suites, Core, SweepRunner};
 fn run_interrupted(job: &Job, midpoint: u64) -> SimStats {
     let mut stream = job.workload.stream(job.seed);
     let mut first = job.machine.build(&job.mem);
-    let _ = first.run(&mut stream, midpoint, None);
+    let _ = first.run(&mut stream, midpoint, &mut NoProbe);
     let snapshot = first.clone();
     drop(first);
     let mut fresh = job.machine.build(&job.mem);
     fresh.clone_from(&snapshot);
-    fresh.run(&mut stream, job.budget, None)
+    fresh.run(&mut stream, job.budget, &mut NoProbe)
 }
 
 /// Round-trips every job of one golden suite against SweepRunner references
@@ -96,7 +96,7 @@ fn snapshots_are_independent_of_the_source_core() {
         let job = &jobs[0];
         let mut stream_a = job.workload.stream(job.seed);
         let mut original = job.machine.build(&job.mem);
-        let _ = original.run(&mut stream_a, 1_000, None);
+        let _ = original.run(&mut stream_a, 1_000, &mut NoProbe);
         let mut copy = match &original {
             Core::Ooo(core) => Core::Ooo(Box::new(core.snapshot().to_core())),
             Core::Dkip(core) => Core::Dkip(Box::new(core.snapshot().to_processor())),
@@ -105,14 +105,14 @@ fn snapshots_are_independent_of_the_source_core() {
         // Checkpoint the full simulation state: core snapshot + stream
         // clone. Then drive the restored copy far ahead on its own stream.
         let mut stream_b = stream_a.clone();
-        let _ = copy.run(&mut stream_b, 3_000, None);
+        let _ = copy.run(&mut stream_b, 3_000, &mut NoProbe);
 
         // The original must continue exactly as if the copy never existed.
-        let undisturbed = original.run(&mut stream_a, job.budget, None);
+        let undisturbed = original.run(&mut stream_a, job.budget, &mut NoProbe);
         let mut stream_c = job.workload.stream(job.seed);
         let mut reference = job.machine.build(&job.mem);
-        let _ = reference.run(&mut stream_c, 1_000, None);
-        let expected = reference.run(&mut stream_c, job.budget, None);
+        let _ = reference.run(&mut stream_c, 1_000, &mut NoProbe);
+        let expected = reference.run(&mut stream_c, job.budget, &mut NoProbe);
         assert_eq!(undisturbed.to_kv(), expected.to_kv(), "{}", job.label);
     }
 }
