@@ -19,7 +19,7 @@ CHAOS_CHECK_DIR = target/chaos-check
 ## Build directory for the benchmark in perfbench/ (a workspace of its own).
 BENCH_BUILD_DIR = target/perfbench-build
 
-.PHONY: build test doc verify lint bench bench-build bench-figures golden bless riscv perf perf-smoke trace-smoke cache-check chaos-check fuzz fuzz-smoke sample-check clean
+.PHONY: build test doc verify lint loc bench bench-build bench-figures golden bless riscv perf perf-smoke trace-smoke cache-check chaos-check fuzz fuzz-smoke sample-check clean
 
 build:
 	cargo build --release
@@ -42,6 +42,18 @@ doc:
 lint:
 	cargo clippy --all-targets -- -D warnings
 	cargo fmt --check
+
+## Source size per crate: non-blank, non-comment lines of each crate's
+## src/ (the facade's src/ included), counted in each file up to its first
+## `#[cfg(test)]` so unit tests are left out, and the total. A report for
+## comparing sizes before and after a change, not a gate.
+loc:
+	@total=0; for dir in crates/*/src src; do \
+		n=$$(find $$dir -name '*.rs' | sort | xargs awk \
+			'FNR == 1 { tests = 0 } /^[[:space:]]*#\[cfg\(test\)\]/ { tests = 1 } \
+			!tests && !/^[[:space:]]*(\/\/|$$)/ { n++ } END { print n + 0 }'); \
+		printf '%-18s %6d\n' $$dir $$n; total=$$((total + n)); \
+	done; printf '%-18s %6d\n' total $$total
 
 ## Golden-stats regression checks: compare fresh runs against the pinned
 ## snapshots in tests/golden/ (incl. the RISC-V kernel sweep and the four

@@ -15,6 +15,11 @@
 //! instruction with a long-latency source drains to the LLIB, everything
 //! else completes in the Cache Processor. Checkpoints taken at Analyze
 //! provide recovery for branches that resolve in a Memory Processor.
+//!
+//! The Cache Processor's front end — fetch, perceptron branch prediction
+//! and the refill after a mispredict — is the one the out-of-order
+//! baselines use, [`dkip_ooo::FrontEnd`]. Only the Memory-Processor
+//! resolution path adds the checkpoint recovery penalty to the refill.
 
 use crate::address_processor::AddressProcessor;
 use crate::checkpoint::CheckpointStack;
@@ -22,7 +27,6 @@ use crate::llbv::{Llbv, LowLocalityWriter};
 use crate::llib::{Llib, LlibEntry, SourceState};
 use crate::llrf::Llrf;
 use crate::memory_processor::MemoryProcessor;
-use dkip_bpred::PerceptronPredictor;
 use dkip_mem::{AccessLevel, MemoryHierarchy};
 use dkip_model::config::{event_clock_enabled, DkipConfig, MemoryHierarchyConfig};
 use dkip_model::telemetry::{MetricsFrame, NoProbe, Probe, Stage};
@@ -31,10 +35,10 @@ use dkip_model::{
     SimStats, WarmSink,
 };
 use dkip_ooo::lsq::FORWARD_LATENCY;
-use dkip_ooo::{FunctionalUnits, IssueQueue, Rob, RobEntry};
+use dkip_ooo::{FrontEnd, FunctionalUnits, IssueQueue, Rob, RobEntry};
 use dkip_trace::{Benchmark, TraceGenerator};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Metadata kept for every instruction that left the Cache Processor as low
 /// locality (parked in an LLIB, executing in a Memory Processor, or a
@@ -76,10 +80,11 @@ impl DkipSnapshot {
 #[derive(Debug, Clone)]
 pub struct DkipProcessor {
     cfg: DkipConfig,
-    predictor: PerceptronPredictor,
     cycle: u64,
 
-    // Cache Processor.
+    // Cache Processor: the front end shared with the OoO cores, then the
+    // Aging-ROB and the CP issue machinery.
+    front: FrontEnd,
     rob: Rob,
     cp_int_iq: IssueQueue,
     cp_fp_iq: IssueQueue,
@@ -111,15 +116,6 @@ pub struct DkipProcessor {
     /// Long-latency load → consumers inserted in an MP waiting on its value.
     load_waiters: ConsumerTable,
 
-    // Front end.
-    fetch_queue: VecDeque<MicroOp>,
-    unresolved_mispredicts: VecDeque<u64>,
-    fetch_resume_at: u64,
-    refill_boundary: u64,
-    /// Whether the trace iterator has returned `None` (finite streams such
-    /// as the execution-driven RISC-V kernels end; the synthetic generators
-    /// never do).
-    trace_done: bool,
     /// Force one tick per simulated cycle instead of letting [`drive`]
     /// fast-forward over quiesced stretches (set by `DKIP_NO_SKIP=1`).
     single_step: bool,
@@ -144,8 +140,8 @@ impl DkipProcessor {
         cfg.validate().expect("invalid D-KIP configuration");
         let cp = &cfg.cache_processor;
         DkipProcessor {
-            predictor: PerceptronPredictor::paper_default(),
             cycle: 0,
+            front: FrontEnd::new(cp.widths.fetch),
             rob: Rob::new(cp.rob_capacity),
             cp_int_iq: IssueQueue::new(cp.int_iq_capacity, cp.sched),
             cp_fp_iq: IssueQueue::new(cp.fp_iq_capacity, cp.sched),
@@ -166,11 +162,6 @@ impl DkipProcessor {
             low_meta: FastHashMap::default(),
             mp_consumers: ConsumerTable::new(),
             load_waiters: ConsumerTable::new(),
-            fetch_queue: VecDeque::new(),
-            unresolved_mispredicts: VecDeque::new(),
-            fetch_resume_at: 0,
-            refill_boundary: u64::MAX,
-            trace_done: false,
             single_step: !event_clock_enabled(),
             stats: SimStats::new(),
             arrived_scratch: Vec::new(),
@@ -180,14 +171,8 @@ impl DkipProcessor {
         }
     }
 
-    /// The configuration of this processor.
-    #[must_use]
-    pub fn config(&self) -> &DkipConfig {
-        &self.cfg
-    }
-
-    /// A one-line snapshot of the main pipeline state, for debugging and
-    /// the examples' progress output.
+    /// A one-line snapshot of the main pipeline state (clock, occupancies
+    /// and the Aging-ROB head), for debugging a stuck run.
     #[must_use]
     pub fn debug_state(&self) -> String {
         let head = self.rob.head().map(|e| {
@@ -324,25 +309,19 @@ impl DkipProcessor {
                 .retire_store(seq, meta.op.mem_addr.expect("store has an address")),
             _ => {}
         }
-        if meta.op.is_conditional_branch() {
-            let taken = meta.op.branch.expect("conditional branch").taken;
-            self.stats.cond_branches += 1;
-            self.predictor
-                .update(meta.op.pc, taken, meta.predicted_taken);
-            if meta.mispredicted {
-                self.stats.branch_mispredicts += 1;
-                if self.unresolved_mispredicts.front() == Some(&seq) {
-                    self.unresolved_mispredicts.pop_front();
-                    // Recovery past the Cache Processor uses the checkpoint
-                    // stack: pay the refill penalty plus the checkpoint
-                    // restore penalty.
-                    self.checkpoints.recover();
-                    self.fetch_resume_at = self.cycle
-                        + self.cfg.cache_processor.mispredict_penalty
-                        + self.cfg.checkpoint.recovery_penalty;
-                    self.refill_boundary = seq;
-                }
-            }
+        // Recovery past the Cache Processor uses the checkpoint stack: pay
+        // the refill penalty plus the checkpoint restore penalty.
+        let resume_at = self.cycle
+            + self.cfg.cache_processor.mispredict_penalty
+            + self.cfg.checkpoint.recovery_penalty;
+        if self.front.resolve(
+            &meta.op,
+            meta.predicted_taken,
+            meta.mispredicted,
+            resume_at,
+            &mut self.stats,
+        ) {
+            self.checkpoints.recover();
         }
         // Wake MP consumers of this value.
         let waiters = self.mp_consumers.take(seq);
@@ -479,31 +458,17 @@ impl DkipProcessor {
 
     fn complete_cp_instruction<P: Probe>(&mut self, seq: u64, probe: &mut P) {
         probe.trace_stage(seq, Stage::Complete, self.cycle);
-        let (is_cond, taken, predicted, mispredicted, pc) = {
-            let Some(entry) = self.rob.get_mut(seq) else {
-                return;
-            };
-            entry.completed = true;
-            (
-                entry.op.is_conditional_branch(),
-                entry.op.branch.map(|b| b.taken).unwrap_or(false),
-                entry.predicted_taken,
-                entry.mispredicted,
-                entry.op.pc,
-            )
+        let Some(entry) = self.rob.get_mut(seq) else {
+            return;
         };
-        if is_cond {
-            self.stats.cond_branches += 1;
-            self.predictor.update(pc, taken, predicted);
-            if mispredicted {
-                self.stats.branch_mispredicts += 1;
-                if self.unresolved_mispredicts.front() == Some(&seq) {
-                    self.unresolved_mispredicts.pop_front();
-                    self.fetch_resume_at = self.cycle + self.cfg.cache_processor.mispredict_penalty;
-                    self.refill_boundary = seq;
-                }
-            }
-        }
+        entry.completed = true;
+        self.front.resolve(
+            &entry.op,
+            entry.predicted_taken,
+            entry.mispredicted,
+            self.cycle + self.cfg.cache_processor.mispredict_penalty,
+            &mut self.stats,
+        );
         let waiters = self.cp_consumers.take(seq);
         for &consumer in &waiters {
             self.wake_cp_consumer(consumer);
@@ -811,17 +776,10 @@ impl DkipProcessor {
     fn cp_dispatch<P: Probe>(&mut self, probe: &mut P) -> bool {
         let mut dispatched = false;
         for _ in 0..self.cfg.cache_processor.widths.decode {
-            let Some(op) = self.fetch_queue.front() else {
+            // `None` also behind an unresolved mispredict or the refill.
+            let Some(op) = self.front.head(self.cycle) else {
                 break;
             };
-            if let Some(&blocking) = self.unresolved_mispredicts.front() {
-                if op.seq > blocking {
-                    break;
-                }
-            }
-            if self.cycle < self.fetch_resume_at && op.seq > self.refill_boundary {
-                break;
-            }
             if !self.rob.has_space() {
                 self.stats.rob_full_stall_cycles += 1;
                 break;
@@ -838,7 +796,7 @@ impl DkipProcessor {
                 break;
             }
 
-            let op = self.fetch_queue.pop_front().expect("checked non-empty");
+            let op = self.front.pop();
             dispatched = true;
             let seq = op.seq;
             probe.trace_stage(seq, Stage::Dispatch, self.cycle);
@@ -866,16 +824,7 @@ impl DkipProcessor {
                 self.cp_consumers.push(producer, seq);
             }
             entry.pending_srcs = pending_producers.len();
-
-            if entry.op.is_conditional_branch() {
-                let predicted = self.predictor.predict(entry.op.pc);
-                entry.predicted_taken = predicted;
-                let actual = entry.op.branch.expect("conditional branch").taken;
-                entry.mispredicted = predicted != actual;
-                if entry.mispredicted {
-                    self.unresolved_mispredicts.push_back(seq);
-                }
-            }
+            self.front.predict(&mut entry);
 
             match entry.op.class {
                 OpClass::Load => {
@@ -902,29 +851,6 @@ impl DkipProcessor {
             }
         }
         dispatched
-    }
-
-    fn fetch<P: Probe>(&mut self, trace: &mut dyn Iterator<Item = MicroOp>, probe: &mut P) -> bool {
-        if !self.unresolved_mispredicts.is_empty() || self.cycle < self.fetch_resume_at {
-            self.stats.mispredict_stall_cycles += 1;
-            return false;
-        }
-        let mut fetched = false;
-        let limit = self.cfg.cache_processor.widths.fetch * 3;
-        for _ in 0..self.cfg.cache_processor.widths.fetch {
-            if self.fetch_queue.len() >= limit {
-                break;
-            }
-            let Some(op) = trace.next() else {
-                self.trace_done = true;
-                break;
-            };
-            self.stats.fetched += 1;
-            probe.trace_fetch(&op, self.cycle);
-            self.fetch_queue.push_back(op);
-            fetched = true;
-        }
-        fetched
     }
 }
 
@@ -954,7 +880,7 @@ impl SimCore for DkipProcessor {
         progress |= self.analyze(probe);
         progress |= self.cp_issue(probe);
         progress |= self.cp_dispatch(probe);
-        progress |= self.fetch(trace, probe);
+        progress |= self.front.fetch(self.cycle, trace, &mut self.stats, probe);
         progress
     }
 
@@ -977,7 +903,7 @@ impl SimCore for DkipProcessor {
         consider(self.mp_int.next_event(now));
         consider(self.mp_fp.next_event(now));
         consider(self.ap.next_event(now));
-        consider(Some(self.fetch_resume_at).filter(|&at| at > now));
+        consider(self.front.next_event(now));
         // The Aging-ROB: a head that has not aged yet becomes analyzable at
         // a fixed future cycle even if nothing else happens.
         consider(
@@ -993,14 +919,11 @@ impl SimCore for DkipProcessor {
     /// side (LLIBs / Memory Processors / Address Processor, all tracked by
     /// `low_meta`).
     fn is_drained(&self) -> bool {
-        self.trace_done
-            && self.fetch_queue.is_empty()
-            && self.rob.is_empty()
-            && self.low_meta.is_empty()
+        self.front.is_drained() && self.rob.is_empty() && self.low_meta.is_empty()
     }
 
     fn rearm_trace(&mut self) {
-        self.trace_done = false;
+        self.front.rearm();
     }
 
     /// Aging-ROB / CP issue-queue / AP LSQ occupancy, the two LLIBs, the
@@ -1065,7 +988,7 @@ impl SimCore for DkipProcessor {
 /// install/promote their line in the Address Processor's hierarchy
 /// (timing-free) and conditional branches train the direction predictor as
 /// the Cache Processor's in-order predict/update pair would
-/// ([`PerceptronPredictor::warm`]). Used by the sampled-simulation mode for
+/// ([`FrontEnd::warm_branch`]). Used by the sampled-simulation mode for
 /// every fast-forwarded instruction; pipeline, clock and committed counters
 /// are untouched.
 impl WarmSink for DkipProcessor {
@@ -1074,7 +997,7 @@ impl WarmSink for DkipProcessor {
     }
 
     fn warm_branch(&mut self, pc: u64, taken: bool) {
-        self.predictor.warm(pc, taken);
+        self.front.warm_branch(pc, taken);
     }
 }
 

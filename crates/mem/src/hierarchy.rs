@@ -136,12 +136,6 @@ impl MemoryHierarchy {
         })
     }
 
-    /// The configuration this hierarchy was built from.
-    #[must_use]
-    pub fn config(&self) -> &MemoryHierarchyConfig {
-        &self.config
-    }
-
     /// Access statistics accumulated so far.
     #[must_use]
     pub fn stats(&self) -> MemStats {

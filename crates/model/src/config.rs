@@ -831,12 +831,6 @@ impl LlibConfig {
         }
     }
 
-    /// Total LLRF register capacity across banks.
-    #[must_use]
-    pub fn llrf_capacity(&self) -> usize {
-        self.llrf_banks * self.llrf_regs_per_bank
-    }
-
     /// Validates capacities and rates.
     ///
     /// # Errors

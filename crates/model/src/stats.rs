@@ -117,16 +117,6 @@ impl Histogram {
         }
     }
 
-    /// The fraction (0.0–1.0) of samples in bucket `idx`.
-    #[must_use]
-    pub fn bucket_fraction(&self, idx: usize) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.bucket_count(idx) as f64 / self.total as f64
-        }
-    }
-
     /// The fraction of samples whose value is at most `value`.
     #[must_use]
     pub fn fraction_at_most(&self, value: u64) -> f64 {
@@ -464,22 +454,16 @@ impl SimStats {
     }
 }
 
+/// Number of `u64` counters [`SimStats::to_kv`] serialises.
+const COUNTERS: usize = 22;
+
 impl SimStats {
-    /// Serialises the statistics as stable `key=value` lines.
-    ///
-    /// This is the format stored in the golden snapshot files under
-    /// `tests/golden/`: one line per field in declaration order, derived
-    /// rates rendered with a fixed precision, and the optional issue-latency
-    /// histogram flattened into `issue_latency.*` keys. Two runs produce
-    /// byte-identical output if and only if they observed the same counter
-    /// values, so the serialisation doubles as a bit-for-bit equality check
-    /// for the determinism and parallel-runner tests.
-    #[must_use]
-    pub fn to_kv(&self) -> String {
-        use fmt::Write as _;
+    /// Every serialised counter with its key, in declaration order: the one
+    /// list [`SimStats::to_kv`] writes and [`SimStats::from_kv`] fills.
+    fn counters_mut(&mut self) -> [(&'static str, &mut u64); COUNTERS] {
         // Exhaustive destructuring (no `..`): adding a field to `SimStats`
-        // without serialising it here is a compile error, so new counters
-        // can never silently escape the golden snapshots.
+        // without listing it here is a compile error, so new counters can
+        // never silently escape the golden snapshots.
         let SimStats {
             cycles,
             committed,
@@ -503,7 +487,8 @@ impl SimStats {
             llib_fp_peak_instrs,
             llrf_int_peak_regs,
             llrf_fp_peak_regs,
-            issue_latency,
+            // Serialised after the counters, in its own format.
+            issue_latency: _,
             // Clock telemetry is deliberately NOT serialised: it describes
             // how the host advanced simulated time (event-driven skipping vs
             // DKIP_NO_SKIP single-stepping), not what the simulated machine
@@ -511,8 +496,7 @@ impl SimStats {
             ticks_executed: _,
             cycles_skipped: _,
         } = self;
-        let mut out = String::new();
-        for (key, value) in [
+        [
             ("cycles", cycles),
             ("committed", committed),
             ("fetched", fetched),
@@ -535,12 +519,29 @@ impl SimStats {
             ("llib_fp_peak_instrs", llib_fp_peak_instrs),
             ("llrf_int_peak_regs", llrf_int_peak_regs),
             ("llrf_fp_peak_regs", llrf_fp_peak_regs),
-        ] {
+        ]
+    }
+
+    /// Serialises the statistics as stable `key=value` lines.
+    ///
+    /// This is the format stored in the golden snapshot files under
+    /// `tests/golden/`: one line per field in declaration order, derived
+    /// rates rendered with a fixed precision, and the optional issue-latency
+    /// histogram flattened into `issue_latency.*` keys. Two runs produce
+    /// byte-identical output if and only if they observed the same counter
+    /// values, so the serialisation doubles as a bit-for-bit equality check
+    /// for the determinism and parallel-runner tests.
+    #[must_use]
+    pub fn to_kv(&self) -> String {
+        use fmt::Write as _;
+        let mut out = String::new();
+        // The accessor lends `&mut` counters, so it reads them from a copy.
+        for (key, value) in self.clone().counters_mut() {
             let _ = writeln!(out, "{key}={value}");
         }
         let _ = writeln!(out, "ipc={:.6}", self.ipc());
         let _ = writeln!(out, "mispredict_rate={:.6}", self.mispredict_rate());
-        match issue_latency {
+        match &self.issue_latency {
             None => {
                 let _ = writeln!(out, "issue_latency=none");
             }
@@ -581,31 +582,8 @@ impl SimStats {
     /// Returns a human-readable message naming the missing, duplicated,
     /// malformed or inconsistent line.
     pub fn from_kv(kv: &str, histogram_sum: u128) -> Result<SimStats, String> {
-        const COUNTERS: [&str; 22] = [
-            "cycles",
-            "committed",
-            "fetched",
-            "cond_branches",
-            "branch_mispredicts",
-            "loads",
-            "stores",
-            "l1_hits",
-            "l2_hits",
-            "mem_accesses",
-            "rob_full_stall_cycles",
-            "mispredict_stall_cycles",
-            "low_locality_instrs",
-            "high_locality_instrs",
-            "analyze_stall_cycles",
-            "llib_full_stall_cycles",
-            "checkpoints_taken",
-            "checkpoint_recoveries",
-            "llib_int_peak_instrs",
-            "llib_fp_peak_instrs",
-            "llrf_int_peak_regs",
-            "llrf_fp_peak_regs",
-        ];
-        let mut counters: [Option<u64>; 22] = [None; 22];
+        let mut stats = SimStats::default();
+        let mut seen = [false; COUNTERS];
         let mut derived: [Option<String>; 2] = [None, None];
         let mut hist: std::collections::BTreeMap<String, String> =
             std::collections::BTreeMap::new();
@@ -614,15 +592,19 @@ impl SimStats {
             let (key, value) = line
                 .split_once('=')
                 .ok_or_else(|| format!("malformed line {line:?}"))?;
-            if let Some(idx) = COUNTERS.iter().position(|&name| name == key) {
-                if counters[idx].is_some() {
+            let counter = stats
+                .counters_mut()
+                .into_iter()
+                .zip(&mut seen)
+                .find(|((name, _), _)| *name == key);
+            if let Some(((_, slot), seen)) = counter {
+                if *seen {
                     return Err(format!("duplicate counter {key}"));
                 }
-                counters[idx] = Some(
-                    value
-                        .parse::<u64>()
-                        .map_err(|_| format!("counter {key} has non-integer value {value:?}"))?,
-                );
+                *seen = true;
+                *slot = value
+                    .parse::<u64>()
+                    .map_err(|_| format!("counter {key} has non-integer value {value:?}"))?;
             } else if key == "ipc" || key == "mispredict_rate" {
                 let idx = usize::from(key == "mispredict_rate");
                 if derived[idx].is_some() {
@@ -642,15 +624,15 @@ impl SimStats {
                 return Err(format!("unknown field {key}"));
             }
         }
-        for (idx, slot) in counters.iter().enumerate() {
-            if slot.is_none() {
-                return Err(format!("missing counter {}", COUNTERS[idx]));
-            }
+        if let Some(((name, _), _)) = stats
+            .counters_mut()
+            .into_iter()
+            .zip(seen)
+            .find(|(_, seen)| !seen)
+        {
+            return Err(format!("missing counter {name}"));
         }
-        let get = |name: &str| {
-            counters[COUNTERS.iter().position(|&n| n == name).unwrap()].unwrap_or_default()
-        };
-        let issue_latency = match (hist_none, hist.is_empty()) {
+        stats.issue_latency = match (hist_none, hist.is_empty()) {
             (true, true) => None,
             (true, false) => return Err("both issue_latency=none and histogram fields".to_owned()),
             (false, true) => return Err("missing issue_latency section".to_owned()),
@@ -696,33 +678,6 @@ impl SimStats {
                 }
                 Some(hist)
             }
-        };
-        let stats = SimStats {
-            cycles: get("cycles"),
-            committed: get("committed"),
-            fetched: get("fetched"),
-            cond_branches: get("cond_branches"),
-            branch_mispredicts: get("branch_mispredicts"),
-            loads: get("loads"),
-            stores: get("stores"),
-            l1_hits: get("l1_hits"),
-            l2_hits: get("l2_hits"),
-            mem_accesses: get("mem_accesses"),
-            rob_full_stall_cycles: get("rob_full_stall_cycles"),
-            mispredict_stall_cycles: get("mispredict_stall_cycles"),
-            low_locality_instrs: get("low_locality_instrs"),
-            high_locality_instrs: get("high_locality_instrs"),
-            analyze_stall_cycles: get("analyze_stall_cycles"),
-            llib_full_stall_cycles: get("llib_full_stall_cycles"),
-            checkpoints_taken: get("checkpoints_taken"),
-            checkpoint_recoveries: get("checkpoint_recoveries"),
-            llib_int_peak_instrs: get("llib_int_peak_instrs"),
-            llib_fp_peak_instrs: get("llib_fp_peak_instrs"),
-            llrf_int_peak_regs: get("llrf_int_peak_regs"),
-            llrf_fp_peak_regs: get("llrf_fp_peak_regs"),
-            issue_latency,
-            ticks_executed: 0,
-            cycles_skipped: 0,
         };
         for (slot, name) in derived.iter().zip(["ipc", "mispredict_rate"]) {
             let text = slot
@@ -1317,6 +1272,14 @@ mod tests {
         assert!(SimStats::from_kv(&truncated, 0)
             .unwrap_err()
             .contains("missing"));
+        let no_loads = kv.replace("loads=0\n", "");
+        assert_eq!(
+            SimStats::from_kv(&no_loads, 0).unwrap_err(),
+            "missing counter loads"
+        );
+        assert!(SimStats::from_kv(&kv.replace("cycles=1000", "cycles=x"), 0)
+            .unwrap_err()
+            .contains("non-integer"));
         // A tampered counter breaks the derived-field cross-check.
         let tampered = kv.replace("committed=2500", "committed=2501");
         assert!(SimStats::from_kv(&tampered, 0)

@@ -12,11 +12,11 @@
 //! are parked outside the issue queues (as in the WIB / SLIQ proposals) and
 //! re-enter an issue queue once their operands are available.
 
+use crate::front_end::FrontEnd;
 use crate::fu::{FunctionalUnits, MemPorts};
 use crate::iq::IssueQueue;
 use crate::lsq::{Lsq, FORWARD_LATENCY};
 use crate::rob::{Rob, RobEntry};
-use dkip_bpred::PerceptronPredictor;
 use dkip_mem::{AccessLevel, MemoryHierarchy};
 use dkip_model::config::{
     event_clock_enabled, BaselineConfig, FuConfig, MemoryHierarchyConfig, SchedPolicy, WidthConfig,
@@ -111,7 +111,8 @@ impl CoreSnapshot {
 pub struct OooCore {
     params: CoreParams,
     mem: MemoryHierarchy,
-    predictor: PerceptronPredictor,
+    /// Fetch, branch prediction and mispredict recovery.
+    front: FrontEnd,
     cycle: u64,
     rob: Rob,
     int_iq: IssueQueue,
@@ -126,26 +127,12 @@ pub struct OooCore {
     /// Architectural register → seq of its most recent producer (flat
     /// scoreboard).
     last_writer: LastWriters,
-    /// Fetched but not yet dispatched instructions.
-    fetch_queue: VecDeque<MicroOp>,
-    /// Dispatched, mispredicted, not-yet-resolved conditional branches
-    /// (front = oldest). Fetch and younger dispatch stall behind the front.
-    unresolved_mispredicts: VecDeque<u64>,
-    /// Cycle at which fetch may resume after the refill penalty.
-    fetch_resume_at: u64,
-    /// Instructions with a sequence number greater than this may not
-    /// dispatch while the refill penalty is being paid.
-    refill_boundary: u64,
     /// Number of ROB entries parked in the slow lane ([`RobEntry::parked`];
     /// only a configured slow lane parks any).
     parked: usize,
     /// Parked instructions whose operands are now ready, waiting for issue
     /// queue space.
     reinsert_queue: VecDeque<u64>,
-    /// Whether the trace iterator has returned `None` (finite traces such as
-    /// the execution-driven RISC-V kernels end; the synthetic generators
-    /// never do).
-    trace_done: bool,
     /// Force one tick per simulated cycle instead of letting [`drive`]
     /// fast-forward over quiesced stretches (set by `DKIP_NO_SKIP=1`).
     single_step: bool,
@@ -174,20 +161,15 @@ impl OooCore {
             completions: BinaryHeap::new(),
             consumers: ConsumerTable::new(),
             last_writer: LastWriters::new(),
-            fetch_queue: VecDeque::new(),
-            unresolved_mispredicts: VecDeque::new(),
-            fetch_resume_at: 0,
-            refill_boundary: u64::MAX,
+            front: FrontEnd::new(params.widths.fetch),
             parked: 0,
             reinsert_queue: VecDeque::new(),
-            trace_done: false,
             single_step: !event_clock_enabled(),
             stats: SimStats::new(),
             issue_hist,
             issue_scratch: Vec::new(),
             frontier_scratch: Vec::new(),
             cycle: 0,
-            predictor: PerceptronPredictor::paper_default(),
             mem,
             params,
         }
@@ -197,12 +179,6 @@ impl OooCore {
     #[must_use]
     pub fn from_baseline(cfg: &BaselineConfig, mem: MemoryHierarchy) -> Self {
         Self::new(CoreParams::from(cfg), mem)
-    }
-
-    /// The engine parameters.
-    #[must_use]
-    pub fn params(&self) -> &CoreParams {
-        &self.params
     }
 
     /// Forces (or releases) single-stepped simulation regardless of the
@@ -287,35 +263,18 @@ impl OooCore {
 
     fn complete_instruction<P: Probe>(&mut self, seq: u64, probe: &mut P) {
         probe.trace_stage(seq, Stage::Complete, self.cycle);
-        let (is_cond_branch, taken, predicted, mispredicted, pc) = {
-            let Some(entry) = self.rob.get_mut(seq) else {
-                return;
-            };
-            entry.completed = true;
-            entry.long_latency = false;
-            let is_cond = entry.op.is_conditional_branch();
-            let taken = entry.op.branch.map(|b| b.taken).unwrap_or(false);
-            (
-                is_cond,
-                taken,
-                entry.predicted_taken,
-                entry.mispredicted,
-                entry.op.pc,
-            )
+        let Some(entry) = self.rob.get_mut(seq) else {
+            return;
         };
-
-        if is_cond_branch {
-            self.stats.cond_branches += 1;
-            self.predictor.update(pc, taken, predicted);
-            if mispredicted {
-                self.stats.branch_mispredicts += 1;
-                if self.unresolved_mispredicts.front() == Some(&seq) {
-                    self.unresolved_mispredicts.pop_front();
-                    self.fetch_resume_at = self.cycle + self.params.mispredict_penalty;
-                    self.refill_boundary = seq;
-                }
-            }
-        }
+        entry.completed = true;
+        entry.long_latency = false;
+        self.front.resolve(
+            &entry.op,
+            entry.predicted_taken,
+            entry.mispredicted,
+            self.cycle + self.params.mispredict_penalty,
+            &mut self.stats,
+        );
 
         // Wake consumers.
         let waiters = self.consumers.take(seq);
@@ -485,21 +444,10 @@ impl OooCore {
     fn do_dispatch<P: Probe>(&mut self, probe: &mut P) -> bool {
         let mut dispatched = false;
         for _ in 0..self.params.widths.decode {
-            let Some(op) = self.fetch_queue.front() else {
+            // `None` also behind an unresolved mispredict or the refill.
+            let Some(op) = self.front.head(self.cycle) else {
                 break;
             };
-            // Instructions younger than an unresolved mispredicted branch are
-            // (conceptually) wrong-path refetches: they only enter the
-            // pipeline once the branch has resolved and the refill penalty
-            // has been paid.
-            if let Some(&blocking) = self.unresolved_mispredicts.front() {
-                if op.seq > blocking {
-                    break;
-                }
-            }
-            if self.cycle < self.fetch_resume_at && op.seq > self.refill_boundary {
-                break;
-            }
             if !self.rob.has_space() {
                 self.stats.rob_full_stall_cycles += 1;
                 break;
@@ -548,7 +496,7 @@ impl OooCore {
                 }
             }
 
-            let op = self.fetch_queue.pop_front().expect("checked non-empty");
+            let op = self.front.pop();
             dispatched = true;
             let seq = op.seq;
             probe.trace_stage(seq, Stage::Dispatch, self.cycle);
@@ -563,16 +511,7 @@ impl OooCore {
             // register slot once and distinct slots may legitimately wait on
             // the same producer (two wakeups, counted twice at dispatch).
             entry.pending_srcs = pending_producers.len();
-
-            if entry.op.is_conditional_branch() {
-                let predicted = self.predictor.predict(entry.op.pc);
-                entry.predicted_taken = predicted;
-                let actual = entry.op.branch.expect("conditional branch").taken;
-                entry.mispredicted = predicted != actual;
-                if entry.mispredicted {
-                    self.unresolved_mispredicts.push_back(seq);
-                }
-            }
+            self.front.predict(&mut entry);
 
             match entry.op.class {
                 OpClass::Load => {
@@ -607,36 +546,6 @@ impl OooCore {
         }
         dispatched
     }
-
-    // ------------------------------------------------------------------
-    // Fetch
-    // ------------------------------------------------------------------
-    fn do_fetch<P: Probe>(
-        &mut self,
-        trace: &mut dyn Iterator<Item = MicroOp>,
-        probe: &mut P,
-    ) -> bool {
-        if !self.unresolved_mispredicts.is_empty() || self.cycle < self.fetch_resume_at {
-            self.stats.mispredict_stall_cycles += 1;
-            return false;
-        }
-        let mut fetched = false;
-        let limit = self.params.widths.fetch * 3;
-        for _ in 0..self.params.widths.fetch {
-            if self.fetch_queue.len() >= limit {
-                break;
-            }
-            let Some(op) = trace.next() else {
-                self.trace_done = true;
-                break;
-            };
-            self.stats.fetched += 1;
-            probe.trace_fetch(&op, self.cycle);
-            self.fetch_queue.push_back(op);
-            fetched = true;
-        }
-        fetched
-    }
 }
 
 /// One cycle of the out-of-order pipeline, for [`drive`]: commit,
@@ -653,7 +562,7 @@ impl SimCore for OooCore {
         progress |= self.do_reinsert();
         progress |= self.do_issue(probe);
         progress |= self.do_dispatch(probe);
-        progress |= self.do_fetch(trace, probe);
+        progress |= self.front.fetch(self.cycle, trace, &mut self.stats, probe);
         progress
     }
 
@@ -665,8 +574,8 @@ impl SimCore for OooCore {
             .peek()
             .map(|&Reverse((cycle, _))| cycle)
             .filter(|&cycle| cycle > self.cycle);
-        if self.fetch_resume_at > self.cycle {
-            next = Some(next.map_or(self.fetch_resume_at, |n| n.min(self.fetch_resume_at)));
+        if let Some(resume) = self.front.next_event(self.cycle) {
+            next = Some(next.map_or(resume, |n| n.min(resume)));
         }
         if let Some(fill) = self.mem.next_event(self.cycle) {
             next = Some(next.map_or(fill, |n| n.min(fill)));
@@ -675,11 +584,11 @@ impl SimCore for OooCore {
     }
 
     fn is_drained(&self) -> bool {
-        self.trace_done && self.fetch_queue.is_empty() && self.rob.is_empty()
+        self.front.is_drained() && self.rob.is_empty()
     }
 
     fn rearm_trace(&mut self) {
-        self.trace_done = false;
+        self.front.rearm();
     }
 
     /// The slow lane (KILO) maps onto the frame's low-locality-buffer
@@ -738,7 +647,7 @@ impl SimCore for OooCore {
 /// install/promote their line in the cache hierarchy (timing-free, see
 /// [`MemoryHierarchy::warm_access`]) and conditional branches train the
 /// direction predictor as the pipeline's in-order predict/update pair
-/// would ([`PerceptronPredictor::warm`]).
+/// would ([`FrontEnd::warm_branch`]).
 ///
 /// The sampled-simulation mode warms the drained core with every
 /// fast-forwarded instruction so detailed windows measure against cache
@@ -750,7 +659,7 @@ impl WarmSink for OooCore {
     }
 
     fn warm_branch(&mut self, pc: u64, taken: bool) {
-        self.predictor.warm(pc, taken);
+        self.front.warm_branch(pc, taken);
     }
 }
 

@@ -52,12 +52,6 @@ impl FunctionalUnits {
             false
         }
     }
-
-    /// The configuration this tracker was created from.
-    #[must_use]
-    pub fn config(&self) -> &FuConfig {
-        &self.config
-    }
 }
 
 /// Per-cycle tracker of the Address Processor's global memory ports.

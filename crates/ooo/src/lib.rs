@@ -4,10 +4,11 @@
 //! (`R10-64`, `R10-256`, the idealised cores of Figures 1–3) and builds its
 //! own Cache Processor out of the same structures. This crate provides:
 //!
-//! * the reusable pipeline components — [`rob::Rob`], [`iq::IssueQueue`],
-//!   [`lsq::Lsq`], [`fu::FunctionalUnits`] and [`fu::MemPorts`] — which are
-//!   also used by the D-KIP's Cache Processor (`dkip-core`) and the
-//!   traditional KILO baseline (`dkip-kilo`),
+//! * the reusable pipeline components — [`front_end::FrontEnd`] (fetch,
+//!   branch prediction and mispredict recovery), [`rob::Rob`],
+//!   [`iq::IssueQueue`], [`lsq::Lsq`], [`fu::FunctionalUnits`] and
+//!   [`fu::MemPorts`] — which are also used by the D-KIP's Cache Processor
+//!   (`dkip-core`) and the traditional KILO baseline (`dkip-kilo`),
 //! * [`core::OooCore`], a trace-driven cycle-level out-of-order pipeline
 //!   with branch prediction, dependency-driven wakeup, functional-unit and
 //!   memory-port arbitration, store-to-load forwarding and in-order commit;
@@ -39,12 +40,14 @@
 #![warn(missing_debug_implementations)]
 
 pub mod core;
+pub mod front_end;
 pub mod fu;
 pub mod iq;
 pub mod lsq;
 pub mod rob;
 
 pub use crate::core::{run_baseline, CoreParams, CoreSnapshot, OooCore, LONG_LATENCY_THRESHOLD};
+pub use front_end::FrontEnd;
 pub use fu::{FunctionalUnits, MemPorts};
 pub use iq::IssueQueue;
 pub use lsq::Lsq;

@@ -54,16 +54,6 @@ pub struct Program {
 }
 
 impl Program {
-    /// The instruction at absolute address `addr`, if it falls inside the
-    /// program (4-byte aligned).
-    #[must_use]
-    pub fn inst_at(&self, addr: u64) -> Option<Inst> {
-        if addr < self.base || !(addr - self.base).is_multiple_of(4) {
-            return None;
-        }
-        self.insts.get(((addr - self.base) / 4) as usize).copied()
-    }
-
     /// Number of static instructions.
     #[must_use]
     pub fn len(&self) -> usize {

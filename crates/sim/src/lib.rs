@@ -74,7 +74,6 @@ pub use sampled::{run_sampled, SampledRun};
 pub use store::{ResultStore, ShardSpec, StoredResult, SweepCheckpoint, CACHE_ENV};
 pub use workload::{Workload, WorkloadStream};
 
-use dkip_model::config::MemoryHierarchyConfig;
 use dkip_model::stats::MeanIpc;
 use dkip_model::SimStats;
 use dkip_trace::Benchmark;
@@ -110,16 +109,10 @@ pub fn figure11_l2_sizes_kb() -> Vec<usize> {
     vec![64, 128, 256, 512, 1024, 2048, 4096]
 }
 
-/// Convenience: the default memory hierarchy of Tables 2/3.
-#[must_use]
-pub fn default_memory() -> MemoryHierarchyConfig {
-    MemoryHierarchyConfig::paper_default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dkip_model::config::BaselineConfig;
+    use dkip_model::config::{BaselineConfig, MemoryHierarchyConfig};
 
     #[test]
     fn suite_mean_ipc_averages_over_benchmarks() {
