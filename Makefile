@@ -220,19 +220,22 @@ chaos-check: build
 ## the sampled IPC estimator must stay inside its error bands (3%
 ## suite-mean, 10% per-job) against exact simulation on all four golden
 ## matrices, and the sampled results must match tests/golden/sampled.golden
-## bit for bit. The dkip-mem and dkip-core unit tests ride along: the
-## flat cache against its reference model, and the bounded D-KIP wakeup
-## table that keeps sampled runs cheap. So do the functional-warming
-## checks: the dkip-bpred, dkip-riscv and dkip-trace unit tests (one-pass
-## perceptron training equals predict+update; warm_forward reports what
-## the skipped ops carry) and the dkip-sim test that warming from the
-## source matches the per-op reference loop on every golden sampled job.
+## bit for bit. The core crates' unit tests ride along: dkip-model (the
+## EventQueue against the min-heap model, which every drain relies on),
+## dkip-ooo (the shared front end and the event-clock checks), dkip-mem
+## (the flat cache against its reference model) and dkip-core (the
+## bounded D-KIP wakeup table that keeps sampled runs cheap). So do the
+## functional-warming checks: the dkip-bpred, dkip-riscv and dkip-trace
+## unit tests (one-pass perceptron training equals predict+update;
+## warm_forward reports what the skipped ops carry) and the dkip-sim test
+## that warming from the source matches the per-op reference loop on every
+## golden sampled job.
 ## Release mode: the accuracy suite simulates ~100k-1M instructions per
 ## job twice. Mirrored by the CI sample-check job.
 sample-check:
 	cargo test -q --release -p dkip --test checkpoint_roundtrip --test sampled_accuracy
 	cargo test -q --release -p dkip --test golden_stats golden_sampled_suites
-	cargo test -q --release -p dkip-mem -p dkip-core
+	cargo test -q --release -p dkip-model -p dkip-ooo -p dkip-mem -p dkip-core
 	cargo test -q --release -p dkip-bpred -p dkip-riscv -p dkip-trace
 	cargo test -q --release -p dkip-sim --lib warming_from_the_source
 

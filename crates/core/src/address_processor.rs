@@ -6,15 +6,14 @@
 //! paper describes the LSQ as decoupled, in the spirit of decoupled
 //! access-execute architectures). It also times the long-latency loads:
 //! when a load that missed to main memory completes, its value enters the
-//! load-value FIFO and [`AddressProcessor::begin_cycle_into`] reports its
+//! load-value FIFO and [`AddressProcessor::pop_arrival`] reports its
 //! arrival. The processor decides whether a value is available from which
 //! loads are still outstanding in its low-locality metadata.
 
 use dkip_mem::{AccessOutcome, MemStats, MemoryHierarchy};
 use dkip_model::config::AddressProcessorConfig;
+use dkip_model::EventQueue;
 use dkip_ooo::{Lsq, MemPorts};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// The Address Processor.
 ///
@@ -26,9 +25,8 @@ pub struct AddressProcessor {
     lsq: Lsq,
     ports: MemPorts,
     mem: MemoryHierarchy,
-    /// Long-latency loads in flight: (completion cycle, load seq).
-    pending_loads: BinaryHeap<Reverse<(u64, u64)>>,
-    total_long_latency_loads: u64,
+    /// Long-latency loads in flight, due when their value arrives.
+    pending_loads: EventQueue,
 }
 
 impl AddressProcessor {
@@ -39,31 +37,20 @@ impl AddressProcessor {
             lsq: Lsq::new(config.lsq_capacity),
             ports: MemPorts::new(config.memory_ports),
             mem,
-            pending_loads: BinaryHeap::new(),
-            total_long_latency_loads: 0,
+            pending_loads: EventQueue::new(),
         }
     }
 
-    /// Starts a new cycle: refreshes the memory ports and appends the
-    /// long-latency loads whose data arrives this cycle to `arrived` (their
-    /// values enter the load-value FIFO). The caller reuses the buffer
-    /// across cycles.
-    pub fn begin_cycle_into(&mut self, now: u64, arrived: &mut Vec<u64>) {
+    /// Starts a new cycle: refreshes the memory ports.
+    pub fn begin_cycle(&mut self) {
         self.ports.begin_cycle();
-        while let Some(&Reverse((cycle, seq))) = self.pending_loads.peek() {
-            if cycle > now {
-                break;
-            }
-            self.pending_loads.pop();
-            arrived.push(seq);
-        }
     }
 
-    /// Allocating convenience form of [`AddressProcessor::begin_cycle_into`].
-    pub fn begin_cycle(&mut self, now: u64) -> Vec<u64> {
-        let mut arrived = Vec::new();
-        self.begin_cycle_into(now, &mut arrived);
-        arrived
+    /// Removes and returns the next long-latency load whose value arrives
+    /// at or before `now` (entering the load-value FIFO), in arrival order,
+    /// or `None` once none is left.
+    pub fn pop_arrival(&mut self, now: u64) -> Option<u64> {
+        self.pending_loads.pop_due(now)
     }
 
     /// The shared memory ports (consumed by the CP issue stage and the MPs).
@@ -96,8 +83,7 @@ impl AddressProcessor {
     /// Registers a load whose miss is being serviced by main memory; its
     /// value becomes available at `completes_at`.
     pub fn register_long_latency_load(&mut self, seq: u64, completes_at: u64) {
-        self.total_long_latency_loads += 1;
-        self.pending_loads.push(Reverse((completes_at, seq)));
+        self.pending_loads.push(completes_at, seq);
     }
 
     /// The earliest future cycle (strictly after `now`) at which the AP's
@@ -105,21 +91,10 @@ impl AddressProcessor {
     /// arrival or the next outstanding cache fill. `None` when nothing is
     /// in flight.
     pub fn next_event(&mut self, now: u64) -> Option<u64> {
-        let arrival = self
-            .pending_loads
-            .peek()
-            .map(|&Reverse((cycle, _))| cycle)
-            .filter(|&cycle| cycle > now);
-        match (arrival, self.mem.next_event(now)) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    /// Number of long-latency loads handled by the AP so far.
-    #[must_use]
-    pub fn total_long_latency_loads(&self) -> u64 {
-        self.total_long_latency_loads
+        [self.pending_loads.next_after(now), self.mem.next_event(now)]
+            .into_iter()
+            .flatten()
+            .min()
     }
 
     /// Memory-hierarchy statistics.
@@ -144,11 +119,11 @@ mod tests {
     fn long_latency_loads_become_available_at_their_completion_cycle() {
         let mut ap = ap();
         ap.register_long_latency_load(7, 500);
-        assert!(ap.begin_cycle(499).is_empty());
-        let arrived = ap.begin_cycle(500);
-        assert_eq!(arrived, vec![7]);
-        assert!(ap.begin_cycle(501).is_empty(), "a value arrives once");
-        assert_eq!(ap.total_long_latency_loads(), 1);
+        ap.register_long_latency_load(3, 500);
+        assert_eq!(ap.pop_arrival(499), None);
+        assert_eq!(ap.pop_arrival(500), Some(3));
+        assert_eq!(ap.pop_arrival(500), Some(7));
+        assert_eq!(ap.pop_arrival(501), None, "a value arrives once");
     }
 
     #[test]
@@ -164,14 +139,14 @@ mod tests {
     #[test]
     fn ports_are_limited_per_cycle() {
         let mut ap = ap();
-        ap.begin_cycle(0);
+        ap.begin_cycle();
         assert!(ap.ports_mut().try_issue());
         assert!(ap.ports_mut().try_issue());
         assert!(
             !ap.ports_mut().try_issue(),
             "Table 2: two global memory ports"
         );
-        ap.begin_cycle(1);
+        ap.begin_cycle();
         assert!(ap.ports_mut().try_issue());
     }
 

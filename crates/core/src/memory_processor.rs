@@ -11,10 +11,8 @@
 //! return and older MP instructions complete.
 
 use dkip_model::config::MemoryProcessorConfig;
-use dkip_model::{FastHashMap, OpClass};
+use dkip_model::{EventQueue, FastHashMap, OpClass};
 use dkip_ooo::{FunctionalUnits, IssueQueue, MemPorts};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// One integer or floating-point Memory Processor.
 ///
@@ -27,12 +25,10 @@ pub struct MemoryProcessor {
     /// Outstanding operand counts for instructions still waiting in the
     /// queue.
     pending: FastHashMap<u64, u8>,
-    /// Completion events (cycle, seq).
-    completions: BinaryHeap<Reverse<(u64, u64)>>,
+    /// Issued instructions, due when their execution finishes.
+    completions: EventQueue,
     /// Instructions currently inside the MP (inserted, not yet completed).
     occupancy: usize,
-    peak_occupancy: usize,
-    total_executed: u64,
 }
 
 impl MemoryProcessor {
@@ -43,10 +39,8 @@ impl MemoryProcessor {
             queue: IssueQueue::new(config.queue_capacity, config.sched),
             fus: FunctionalUnits::new(config.fu),
             pending: FastHashMap::default(),
-            completions: BinaryHeap::new(),
+            completions: EventQueue::new(),
             occupancy: 0,
-            peak_occupancy: 0,
-            total_executed: 0,
         }
     }
 
@@ -61,18 +55,6 @@ impl MemoryProcessor {
     #[must_use]
     pub fn occupancy(&self) -> usize {
         self.occupancy
-    }
-
-    /// Peak occupancy observed.
-    #[must_use]
-    pub fn peak_occupancy(&self) -> usize {
-        self.peak_occupancy
-    }
-
-    /// Total instructions executed by this MP.
-    #[must_use]
-    pub fn total_executed(&self) -> u64 {
-        self.total_executed
     }
 
     /// Starts a new cycle (refreshes functional-unit availability).
@@ -91,7 +73,6 @@ impl MemoryProcessor {
             self.pending.insert(seq, unavailable);
         }
         self.occupancy += 1;
-        self.peak_occupancy = self.peak_occupancy.max(self.occupancy);
     }
 
     /// Satisfies one outstanding operand of `seq` (a load value arrived or
@@ -120,14 +101,9 @@ impl MemoryProcessor {
         self.queue.select_into(width, &mut self.fus, ports, issued);
     }
 
-    /// Allocating convenience form of [`MemoryProcessor::select_into`].
-    pub fn select(&mut self, width: usize, ports: &mut MemPorts) -> Vec<(u64, OpClass)> {
-        self.queue.select(width, &mut self.fus, ports)
-    }
-
     /// Schedules the completion of an issued instruction.
     pub fn schedule_completion(&mut self, seq: u64, at_cycle: u64) {
-        self.completions.push(Reverse((at_cycle, seq)));
+        self.completions.push(at_cycle, seq);
     }
 
     /// The earliest future cycle (strictly after `now`) at which an issued
@@ -135,31 +111,15 @@ impl MemoryProcessor {
     /// executing.
     #[must_use]
     pub fn next_event(&self, now: u64) -> Option<u64> {
-        self.completions
-            .peek()
-            .map(|&Reverse((cycle, _))| cycle)
-            .filter(|&cycle| cycle > now)
+        self.completions.next_after(now)
     }
 
-    /// Appends the instructions whose execution finishes at or before `now`
-    /// to `done` (the caller reuses the buffer across cycles).
-    pub fn drain_completed_into(&mut self, now: u64, done: &mut Vec<u64>) {
-        while let Some(&Reverse((cycle, seq))) = self.completions.peek() {
-            if cycle > now {
-                break;
-            }
-            self.completions.pop();
-            self.occupancy -= 1;
-            self.total_executed += 1;
-            done.push(seq);
-        }
-    }
-
-    /// Allocating convenience form of [`MemoryProcessor::drain_completed_into`].
-    pub fn drain_completed(&mut self, now: u64) -> Vec<u64> {
-        let mut done = Vec::new();
-        self.drain_completed_into(now, &mut done);
-        done
+    /// Removes and returns the next instruction whose execution finishes
+    /// at or before `now`, in completion order, or `None` once none is left.
+    pub fn pop_completed(&mut self, now: u64) -> Option<u64> {
+        let seq = self.completions.pop_due(now)?;
+        self.occupancy -= 1;
+        Some(seq)
     }
 }
 
@@ -175,19 +135,28 @@ mod tests {
         MemoryProcessor::new(&cfg)
     }
 
+    fn select(mp: &mut MemoryProcessor, width: usize, ports: &mut MemPorts) -> Vec<(u64, OpClass)> {
+        let mut issued = Vec::new();
+        mp.select_into(width, ports, &mut issued);
+        issued
+    }
+
+    fn completed(mp: &mut MemoryProcessor, now: u64) -> Vec<u64> {
+        std::iter::from_fn(|| mp.pop_completed(now)).collect()
+    }
+
     #[test]
     fn ready_instructions_issue_and_complete() {
         let mut mp = mp(SchedPolicy::InOrder, 4);
         let mut ports = MemPorts::new(2);
         mp.insert(1, OpClass::FpAdd, 0);
         mp.insert(2, OpClass::FpAdd, 0);
-        let issued = mp.select(4, &mut ports);
+        let issued = select(&mut mp, 4, &mut ports);
         assert_eq!(issued.len(), 2);
         mp.schedule_completion(1, 10);
         mp.schedule_completion(2, 12);
-        assert!(mp.drain_completed(9).is_empty());
-        assert_eq!(mp.drain_completed(12), vec![1, 2]);
-        assert_eq!(mp.total_executed(), 2);
+        assert!(completed(&mut mp, 9).is_empty());
+        assert_eq!(completed(&mut mp, 12), vec![1, 2]);
         assert_eq!(mp.occupancy(), 0);
     }
 
@@ -198,11 +167,11 @@ mod tests {
         mp.insert(5, OpClass::IntAlu, 1);
         mp.insert(6, OpClass::IntAlu, 0);
         assert!(
-            mp.select(4, &mut ports).is_empty(),
+            select(&mut mp, 4, &mut ports).is_empty(),
             "head is waiting for an operand"
         );
         mp.satisfy(5);
-        let issued = mp.select(4, &mut ports);
+        let issued = select(&mut mp, 4, &mut ports);
         assert_eq!(issued.len(), 2, "both issue once the head is satisfied");
     }
 
@@ -212,33 +181,33 @@ mod tests {
         let mut ports = MemPorts::new(2);
         mp.insert(5, OpClass::IntAlu, 2);
         mp.insert(6, OpClass::IntAlu, 0);
-        let issued = mp.select(4, &mut ports);
+        let issued = select(&mut mp, 4, &mut ports);
         assert_eq!(issued, vec![(6, OpClass::IntAlu)]);
         mp.satisfy(5);
         assert!(
-            mp.select(4, &mut ports).is_empty(),
+            select(&mut mp, 4, &mut ports).is_empty(),
             "still one operand missing"
         );
         mp.satisfy(5);
-        assert_eq!(mp.select(4, &mut ports).len(), 1);
+        assert_eq!(select(&mut mp, 4, &mut ports).len(), 1);
     }
 
     #[test]
-    fn occupancy_and_peak_are_tracked() {
+    fn occupancy_counts_instructions_until_they_complete() {
         let mut mp = mp(SchedPolicy::InOrder, 8);
         for seq in 0..5 {
             mp.insert(seq, OpClass::FpMul, 0);
         }
         assert_eq!(mp.occupancy(), 5);
-        assert_eq!(mp.peak_occupancy(), 5);
         let mut ports = MemPorts::new(2);
-        let issued = mp.select(8, &mut ports);
-        for (seq, _) in issued {
+        let issued = select(&mut mp, 8, &mut ports);
+        assert!(!issued.is_empty());
+        assert_eq!(mp.occupancy(), 5, "executing instructions still count");
+        for &(seq, _) in &issued {
             mp.schedule_completion(seq, 1);
         }
-        mp.drain_completed(1);
-        assert!(mp.occupancy() < 5);
-        assert_eq!(mp.peak_occupancy(), 5);
+        assert_eq!(completed(&mut mp, 1).len(), issued.len());
+        assert_eq!(mp.occupancy(), 5 - issued.len());
     }
 
     #[test]

@@ -31,14 +31,12 @@ use dkip_mem::{AccessLevel, MemoryHierarchy};
 use dkip_model::config::{event_clock_enabled, DkipConfig, MemoryHierarchyConfig};
 use dkip_model::telemetry::{MetricsFrame, NoProbe, Probe, Stage};
 use dkip_model::{
-    drive, ConsumerTable, DepList, FastHashMap, LastWriters, MicroOp, OpClass, RegClass, SimCore,
-    SimStats, WarmSink,
+    drive, ConsumerTable, DepList, EventQueue, FastHashMap, LastWriters, MicroOp, OpClass,
+    RegClass, SimCore, SimStats, WarmSink,
 };
 use dkip_ooo::lsq::FORWARD_LATENCY;
 use dkip_ooo::{FrontEnd, FunctionalUnits, IssueQueue, Rob, RobEntry};
 use dkip_trace::{Benchmark, TraceGenerator};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Metadata kept for every instruction that left the Cache Processor as low
 /// locality (parked in an LLIB, executing in a Memory Processor, or a
@@ -89,7 +87,7 @@ pub struct DkipProcessor {
     cp_int_iq: IssueQueue,
     cp_fp_iq: IssueQueue,
     cp_fus: FunctionalUnits,
-    cp_completions: BinaryHeap<Reverse<(u64, u64)>>,
+    cp_completions: EventQueue,
     cp_consumers: ConsumerTable,
     last_writer: LastWriters,
 
@@ -124,8 +122,6 @@ pub struct DkipProcessor {
 
     // Reusable per-cycle buffers (cleared and refilled every tick; they keep
     // the steady-state cycle loop free of heap allocation).
-    arrived_scratch: Vec<u64>,
-    mp_done_scratch: Vec<u64>,
     select_scratch: Vec<(u64, OpClass)>,
 }
 
@@ -146,7 +142,7 @@ impl DkipProcessor {
             cp_int_iq: IssueQueue::new(cp.int_iq_capacity, cp.sched),
             cp_fp_iq: IssueQueue::new(cp.fp_iq_capacity, cp.sched),
             cp_fus: FunctionalUnits::new(cp.fu),
-            cp_completions: BinaryHeap::new(),
+            cp_completions: EventQueue::new(),
             cp_consumers: ConsumerTable::new(),
             last_writer: LastWriters::new(),
             llbv: Llbv::new(),
@@ -164,8 +160,6 @@ impl DkipProcessor {
             load_waiters: ConsumerTable::new(),
             single_step: !event_clock_enabled(),
             stats: SimStats::new(),
-            arrived_scratch: Vec::new(),
-            mp_done_scratch: Vec::new(),
             select_scratch: Vec::new(),
             cfg,
         }
@@ -280,15 +274,18 @@ impl DkipProcessor {
     // Memory Processor completion and issue.
     // ------------------------------------------------------------------
     fn drain_mp_completions<P: Probe>(&mut self, probe: &mut P) -> bool {
-        let mut done = std::mem::take(&mut self.mp_done_scratch);
-        done.clear();
-        self.mp_int.drain_completed_into(self.cycle, &mut done);
-        self.mp_fp.drain_completed_into(self.cycle, &mut done);
-        for &seq in &done {
+        // The integer MP drains first: no completion schedules another MP
+        // completion, so the `or_else` reaches the FP MP only once the
+        // integer one has nothing due.
+        let mut completed = false;
+        while let Some(seq) = self
+            .mp_int
+            .pop_completed(self.cycle)
+            .or_else(|| self.mp_fp.pop_completed(self.cycle))
+        {
+            completed = true;
             self.handle_mp_completion(seq, probe);
         }
-        let completed = !done.is_empty();
-        self.mp_done_scratch = done;
         completed
     }
 
@@ -445,12 +442,8 @@ impl DkipProcessor {
     // ------------------------------------------------------------------
     fn cp_writeback<P: Probe>(&mut self, probe: &mut P) -> bool {
         let mut completed = false;
-        while let Some(&Reverse((cycle, seq))) = self.cp_completions.peek() {
-            if cycle > self.cycle {
-                break;
-            }
+        while let Some(seq) = self.cp_completions.pop_due(self.cycle) {
             completed = true;
-            self.cp_completions.pop();
             self.complete_cp_instruction(seq, probe);
         }
         completed
@@ -741,8 +734,7 @@ impl DkipProcessor {
             OpClass::Load => {
                 let addr = addr.expect("load has an address");
                 if self.ap.lsq().forwards_from_store(seq, addr) {
-                    self.cp_completions
-                        .push(Reverse((now + FORWARD_LATENCY, seq)));
+                    self.cp_completions.push(now + FORWARD_LATENCY, seq);
                     return;
                 }
                 let outcome = self.ap.access(addr, false, now);
@@ -757,18 +749,17 @@ impl DkipProcessor {
                     self.ap
                         .register_long_latency_load(seq, now + outcome.latency);
                 } else {
-                    self.cp_completions
-                        .push(Reverse((now + outcome.latency, seq)));
+                    self.cp_completions.push(now + outcome.latency, seq);
                 }
             }
             OpClass::Store => {
                 let addr = addr.expect("store has an address");
                 let _ = self.ap.access(addr, true, now);
-                self.cp_completions.push(Reverse((now + 1, seq)));
+                self.cp_completions.push(now + 1, seq);
             }
             other => {
                 self.cp_completions
-                    .push(Reverse((now + other.exec_latency().max(1), seq)));
+                    .push(now + other.exec_latency().max(1), seq);
             }
         }
     }
@@ -865,14 +856,12 @@ impl SimCore for DkipProcessor {
         self.cp_fus.begin_cycle();
         self.mp_int.begin_cycle();
         self.mp_fp.begin_cycle();
-        let mut arrived_loads = std::mem::take(&mut self.arrived_scratch);
-        arrived_loads.clear();
-        self.ap.begin_cycle_into(self.cycle, &mut arrived_loads);
-        for &load in &arrived_loads {
+        self.ap.begin_cycle();
+        let mut progress = false;
+        while let Some(load) = self.ap.pop_arrival(self.cycle) {
+            progress = true;
             self.handle_load_value_arrival(load, probe);
         }
-        let mut progress = !arrived_loads.is_empty();
-        self.arrived_scratch = arrived_loads;
         progress |= self.drain_mp_completions(probe);
         progress |= self.mp_issue(probe);
         progress |= self.llib_to_mp_transfer();
@@ -890,29 +879,24 @@ impl SimCore for DkipProcessor {
     /// the Aging-ROB head reaching the Analyze stage.
     fn next_event(&mut self) -> Option<u64> {
         let now = self.cycle;
-        let mut next = self
-            .cp_completions
-            .peek()
-            .map(|&Reverse((cycle, _))| cycle)
-            .filter(|&cycle| cycle > now);
-        let mut consider = |candidate: Option<u64>| {
-            if let Some(cycle) = candidate {
-                next = Some(next.map_or(cycle, |n| n.min(cycle)));
-            }
-        };
-        consider(self.mp_int.next_event(now));
-        consider(self.mp_fp.next_event(now));
-        consider(self.ap.next_event(now));
-        consider(self.front.next_event(now));
         // The Aging-ROB: a head that has not aged yet becomes analyzable at
         // a fixed future cycle even if nothing else happens.
-        consider(
-            self.rob
-                .head()
-                .map(|head| head.dispatch_cycle + self.cfg.cache_processor.rob_timer)
-                .filter(|&at| at > now),
-        );
-        next
+        let head_ages = self
+            .rob
+            .head()
+            .map(|head| head.dispatch_cycle + self.cfg.cache_processor.rob_timer)
+            .filter(|&at| at > now);
+        [
+            self.cp_completions.next_after(now),
+            self.mp_int.next_event(now),
+            self.mp_fp.next_event(now),
+            self.ap.next_event(now),
+            self.front.next_event(now),
+            head_ages,
+        ]
+        .into_iter()
+        .flatten()
+        .min()
     }
 
     /// Nothing left in the front end, the Aging-ROB, or on the low-locality

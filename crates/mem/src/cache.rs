@@ -130,11 +130,6 @@ impl SetAssocCache {
         self.keys[base..base + self.assoc].contains(&key)
     }
 
-    /// Invalidates every line in the cache (used between benchmark runs).
-    pub fn invalidate_all(&mut self) {
-        self.keys.fill(0);
-    }
-
     /// Number of sets.
     #[must_use]
     pub fn num_sets(&self) -> usize {
@@ -169,17 +164,6 @@ impl SetAssocCache {
     #[must_use]
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Miss rate over all accesses (0.0 when the cache has not been used).
-    #[must_use]
-    pub fn miss_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.misses as f64 / total as f64
-        }
     }
 }
 
@@ -256,12 +240,6 @@ mod tests {
                 .flatten()
                 .any(|line| line.0 == tag)
         }
-
-        fn invalidate_all(&mut self) {
-            for set in &mut self.sets {
-                set.fill(None);
-            }
-        }
     }
 
     proptest! {
@@ -270,9 +248,8 @@ mod tests {
         /// The flat cache is observationally identical to the reference
         /// model on any geometry — power-of-two set counts (mask-and-shift
         /// indexing) and others such as 3 or 6 sets (`%`/`/`) — and any
-        /// read/write stream, across an `invalidate_all` halfway through:
-        /// the same hit/miss per access, the same counters, and the same
-        /// resident lines.
+        /// read/write stream: the same hit/miss per access, the same
+        /// counters, and the same resident lines.
         #[test]
         fn flat_cache_matches_the_reference_model(
             num_sets in 1usize..17,
@@ -290,10 +267,6 @@ mod tests {
                 .map(|&(offset, region, is_write)| ((region << 36) | offset, is_write))
                 .collect();
             for (i, &(addr, is_write)) in addrs.iter().enumerate() {
-                if i == addrs.len() / 2 {
-                    flat.invalidate_all();
-                    reference.invalidate_all();
-                }
                 prop_assert_eq!(
                     flat.access(addr, is_write),
                     reference.access(addr),
@@ -357,45 +330,6 @@ mod tests {
         assert!(!cache.contains(0x040));
         assert!(!cache.contains(0x0c0));
         assert_eq!(cache.hits() + cache.misses(), 2, "contains counts nothing");
-    }
-
-    /// After `invalidate_all` a full set refills from empty ways and then
-    /// replaces in LRU order again: a hit moves its way to the front, and
-    /// a miss evicts the tail.
-    #[test]
-    fn refill_after_invalidate_all_restores_lru_order() {
-        // One 4-way set of 64-byte lines; block `b` lives at `b * 64`.
-        let mut cache = SetAssocCache::new(256, 4, 64).unwrap();
-        let block = |b: u64| b * 64;
-        for b in 0..4 {
-            cache.access(block(b), false);
-        }
-        cache.invalidate_all();
-        for b in 0..4 {
-            assert!(!cache.contains(block(b)), "block {b} survived");
-        }
-        for b in 10..14 {
-            assert!(!cache.access(block(b), false), "refill of block {b}");
-        }
-        // Recency now runs 13, 12, 11, 10; touching 11 makes it 11, 13, 12, 10.
-        assert!(cache.access(block(11), false));
-        assert!(
-            (10..14).all(|b| cache.contains(block(b))),
-            "a hit keeps every way"
-        );
-        assert!(!cache.access(block(20), false)); // evicts 10
-        assert!(!cache.access(block(21), false)); // evicts 12
-        for (b, resident) in [
-            (10, false),
-            (11, true),
-            (12, false),
-            (13, true),
-            (20, true),
-            (21, true),
-        ] {
-            assert_eq!(cache.contains(block(b)), resident, "block {b}");
-        }
-        assert_eq!((cache.hits(), cache.misses()), (1, 10));
     }
 
     #[test]
@@ -466,24 +400,5 @@ mod tests {
         assert!(!cache.contains(0x4000));
         assert_eq!(cache.hits(), hits);
         assert_eq!(cache.misses(), misses);
-    }
-
-    #[test]
-    fn invalidate_all_empties_the_cache() {
-        let mut cache = SetAssocCache::new(1024, 2, 64).unwrap();
-        cache.access(0x40, true);
-        cache.invalidate_all();
-        assert!(!cache.contains(0x40));
-        assert!(!cache.access(0x40, false));
-    }
-
-    #[test]
-    fn miss_rate_is_fraction_of_accesses() {
-        let mut cache = SetAssocCache::new(1024, 2, 64).unwrap();
-        cache.access(0x0, false);
-        cache.access(0x0, false);
-        cache.access(0x0, false);
-        cache.access(0x0, false);
-        assert!((cache.miss_rate() - 0.25).abs() < 1e-12);
     }
 }

@@ -14,9 +14,7 @@
 use crate::cache::SetAssocCache;
 use dkip_model::config::MemoryHierarchyConfig;
 use dkip_model::telemetry::MetricsFrame;
-use dkip_model::{ConfigError, FastHashMap};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use dkip_model::{ConfigError, EventQueue, FastHashMap};
 
 /// The level of the hierarchy that serviced an access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -99,12 +97,12 @@ pub struct MemoryHierarchy {
     /// the multiplicative `FastHasher` keeps a key's zero low bits, so line
     /// addresses (multiples of the line size) would use one bucket in 64.
     outstanding: FastHashMap<u64, u64>,
-    /// Min-heap twin of `outstanding`: `(completion cycle, line number)`.
-    /// Every map entry has exactly one heap entry and vice versa (the two
-    /// are only ever mutated together), so the earliest in-flight fill is an
-    /// O(1) peek and expiring completed fills is O(log n) amortised instead
-    /// of the O(n) `retain` scan this replaces.
-    fill_queue: BinaryHeap<Reverse<(u64, u64)>>,
+    /// Twin of `outstanding`: each line number, due at its fill's
+    /// completion cycle. Every map entry has exactly one queued event and
+    /// vice versa (the two are only ever mutated together), so the earliest
+    /// in-flight fill is an O(1) peek and expiring completed fills is
+    /// O(log n) amortised.
+    fill_queue: EventQueue,
     stats: MemStats,
 }
 
@@ -131,7 +129,7 @@ impl MemoryHierarchy {
             l1,
             l2,
             outstanding: FastHashMap::default(),
-            fill_queue: BinaryHeap::new(),
+            fill_queue: EventQueue::new(),
             stats: MemStats::default(),
         })
     }
@@ -202,7 +200,7 @@ impl MemoryHierarchy {
         self.stats.memory_accesses += 1;
         let latency = self.config.l1_latency + self.config.l2_latency + self.config.memory_latency;
         self.outstanding.insert(line, now + latency);
-        self.fill_queue.push(Reverse((now + latency, line)));
+        self.fill_queue.push(now + latency, line);
         AccessOutcome {
             level: AccessLevel::Memory,
             latency,
@@ -239,11 +237,7 @@ impl MemoryHierarchy {
 
     /// Drops every in-flight fill that has completed by `now`.
     fn expire_fills(&mut self, now: u64) {
-        while let Some(&Reverse((complete, line))) = self.fill_queue.peek() {
-            if complete > now {
-                break;
-            }
-            self.fill_queue.pop();
+        while let Some(line) = self.fill_queue.pop_due(now) {
             self.outstanding.remove(&line);
         }
     }
@@ -256,45 +250,7 @@ impl MemoryHierarchy {
     /// observing any state change on the way.
     pub fn next_event(&mut self, now: u64) -> Option<u64> {
         self.expire_fills(now);
-        self.fill_queue
-            .peek()
-            .map(|&Reverse((complete, _))| complete)
-    }
-
-    /// Probes whether an access to `addr` would be serviced by main memory,
-    /// without modifying any cache or statistics state.
-    ///
-    /// The D-KIP's Analyze stage uses this to learn the hit/miss status of a
-    /// load that has already performed its tag lookup.
-    #[must_use]
-    pub fn would_miss_to_memory(&self, addr: u64) -> bool {
-        if self.config.l2_perfect {
-            return false;
-        }
-        let l1_hit = match self.l1.as_ref() {
-            Some(l1) => l1.contains(addr),
-            None => true,
-        };
-        if l1_hit {
-            return false;
-        }
-        match self.l2.as_ref() {
-            Some(l2) => !l2.contains(addr),
-            None => false,
-        }
-    }
-
-    /// Invalidates both cache levels and clears outstanding misses.
-    pub fn reset(&mut self) {
-        if let Some(l1) = self.l1.as_mut() {
-            l1.invalidate_all();
-        }
-        if let Some(l2) = self.l2.as_mut() {
-            l2.invalidate_all();
-        }
-        self.outstanding.clear();
-        self.fill_queue.clear();
-        self.stats = MemStats::default();
+        self.fill_queue.next_after(now)
     }
 }
 
@@ -387,33 +343,6 @@ mod tests {
         // After the fill completes, the line hits in L1.
         let third = mem.access(0x20000, false, 100 + first.latency + 1);
         assert_eq!(third.level, AccessLevel::L1);
-    }
-
-    #[test]
-    fn would_miss_probe_matches_access_behaviour_without_side_effects() {
-        let mut mem = MemoryHierarchy::new(small_config()).unwrap();
-        assert!(mem.would_miss_to_memory(0x30000));
-        let stats_before = mem.stats();
-        assert!(mem.would_miss_to_memory(0x30000));
-        assert_eq!(mem.stats(), stats_before, "probe must not change stats");
-        mem.access(0x30000, false, 0);
-        assert!(!mem.would_miss_to_memory(0x30000));
-    }
-
-    #[test]
-    fn perfect_configs_never_report_memory_miss_probe() {
-        let mem = MemoryHierarchy::new(MemoryHierarchyConfig::l2_11()).unwrap();
-        assert!(!mem.would_miss_to_memory(0xdead_beef));
-    }
-
-    #[test]
-    fn reset_clears_cache_contents_and_stats() {
-        let mut mem = MemoryHierarchy::new(small_config()).unwrap();
-        mem.access(0x40000, true, 0);
-        mem.reset();
-        assert_eq!(mem.stats().total(), 0);
-        let outcome = mem.access(0x40000, false, 0);
-        assert_eq!(outcome.level, AccessLevel::Memory, "cache was invalidated");
     }
 
     #[test]

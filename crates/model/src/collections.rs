@@ -20,6 +20,8 @@
 //!   ([`MAX_SOURCES`]), replacing a heap `Vec` per dispatched instruction.
 //! * [`LastWriters`] — the rename table as a flat array scoreboard indexed
 //!   by [`ArchReg::flat_index`], replacing a `HashMap<ArchReg, u64>`.
+//! * [`EventQueue`] — the one timed-event queue: execution completions,
+//!   load-value arrivals and cache fills, delivered in cycle order.
 //!
 //! In-flight state is sized by occupancy, not by configured capacity: these
 //! containers start empty and grow to what is actually in flight (then keep
@@ -29,7 +31,8 @@
 //! side set keyed by sequence number.
 
 use crate::reg::{ArchReg, TOTAL_ARCH_REGS};
-use std::collections::{HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Maximum number of source operands of a [`crate::instr::MicroOp`], and
@@ -258,9 +261,59 @@ impl LastWriters {
     }
 }
 
+/// Timed events: `u64` keys (sequence or line numbers) that fall due at a
+/// cycle, delivered in cycle order with ties in key order. Every clocked
+/// structure of every core schedules its future work here, so the order
+/// in which same-cycle events are handled is decided in this one place.
+///
+/// Drain with `while let Some(key) = queue.pop_due(now)`, then ask
+/// [`EventQueue::next_after`] for the event-driven clock's next wakeup.
+#[derive(Debug, Clone, Default)]
+pub struct EventQueue {
+    heap: BinaryHeap<Reverse<(u64, u64)>>,
+}
+
+impl EventQueue {
+    /// An empty queue.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Schedules `key` to fall due at cycle `at`.
+    #[inline]
+    pub fn push(&mut self, at: u64, key: u64) {
+        self.heap.push(Reverse((at, key)));
+    }
+
+    /// Removes and returns the earliest key due at or before `now` (the
+    /// smallest key among equal cycles), or `None` when nothing is due.
+    #[inline]
+    pub fn pop_due(&mut self, now: u64) -> Option<u64> {
+        let &Reverse((at, _)) = self.heap.peek()?;
+        if at > now {
+            return None;
+        }
+        self.heap.pop().map(|Reverse((_, key))| key)
+    }
+
+    /// The cycle of the earliest pending event if it lies strictly after
+    /// `now`: `None` when the queue is empty, or when an event is still
+    /// due (drain with [`EventQueue::pop_due`] first).
+    #[inline]
+    #[must_use]
+    pub fn next_after(&self, now: u64) -> Option<u64> {
+        self.heap
+            .peek()
+            .map(|&Reverse((at, _))| at)
+            .filter(|&at| at > now)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn fast_hasher_is_deterministic_and_spreads() {
@@ -344,5 +397,90 @@ mod tests {
         assert_eq!(writers.get(ArchReg::fp(3)), Some(42));
         writers.set(ArchReg::int(3), 43);
         assert_eq!(writers.get(ArchReg::int(3)), Some(43));
+    }
+
+    #[test]
+    fn equal_cycle_events_pop_in_key_order() {
+        let mut queue = EventQueue::new();
+        for key in [9, 3, 7] {
+            queue.push(5, key);
+        }
+        queue.push(4, 11);
+        let popped: Vec<u64> = std::iter::from_fn(|| queue.pop_due(5)).collect();
+        assert_eq!(popped, vec![11, 3, 7, 9]);
+    }
+
+    #[test]
+    fn an_event_at_now_is_due_and_later_ones_are_not() {
+        let mut queue = EventQueue::new();
+        queue.push(10, 1);
+        queue.push(11, 2);
+        assert_eq!(queue.pop_due(9), None);
+        assert_eq!(queue.pop_due(10), Some(1));
+        assert_eq!(queue.pop_due(10), None);
+        assert_eq!(queue.pop_due(11), Some(2));
+        assert_eq!(queue.pop_due(u64::MAX), None, "a key is delivered once");
+    }
+
+    #[test]
+    fn next_after_never_returns_now() {
+        let mut queue = EventQueue::new();
+        assert_eq!(queue.next_after(0), None);
+        queue.push(7, 1);
+        assert_eq!(queue.next_after(6), Some(7));
+        assert_eq!(queue.next_after(7), None, "an event at now is due");
+        assert_eq!(queue.next_after(8), None);
+        queue.push(9, 2);
+        assert_eq!(queue.pop_due(7), Some(1));
+        assert_eq!(queue.next_after(7), Some(9));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Any interleaving of `push` (into the future), `pop_due` (with a
+        /// non-decreasing clock) and `next_after` behaves exactly like the
+        /// `BinaryHeap<Reverse<(cycle, key)>>` drain and peek idiom the
+        /// queue replaces.
+        #[test]
+        fn event_queue_matches_the_min_heap_idiom(
+            steps in proptest::collection::vec((0u64..3, 0u64..6, 0u64..8), 1..200),
+        ) {
+            let mut queue = EventQueue::new();
+            let mut reference: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+            let mut now = 0;
+            for (op, delta, key) in steps {
+                match op {
+                    0 => {
+                        queue.push(now + 1 + delta, key);
+                        reference.push(Reverse((now + 1 + delta, key)));
+                    }
+                    1 => {
+                        now += delta;
+                        loop {
+                            let want = match reference.peek() {
+                                Some(&Reverse((at, key))) if at <= now => {
+                                    reference.pop();
+                                    Some(key)
+                                }
+                                _ => None,
+                            };
+                            prop_assert_eq!(queue.pop_due(now), want);
+                            if want.is_none() {
+                                break;
+                            }
+                        }
+                    }
+                    _ => {
+                        let at = now + delta;
+                        let want = reference
+                            .peek()
+                            .map(|&Reverse((cycle, _))| cycle)
+                            .filter(|&cycle| cycle > at);
+                        prop_assert_eq!(queue.next_after(at), want);
+                    }
+                }
+            }
+        }
     }
 }

@@ -51,7 +51,9 @@ pub mod stats;
 pub mod telemetry;
 pub mod warm;
 
-pub use collections::{ConsumerTable, DepList, FastHashMap, FastHashSet, LastWriters, MAX_SOURCES};
+pub use collections::{
+    ConsumerTable, DepList, EventQueue, FastHashMap, FastHashSet, LastWriters, MAX_SOURCES,
+};
 pub use config::{
     event_clock_enabled, BaselineConfig, CacheProcessorConfig, DkipConfig, KiloConfig,
     MemoryHierarchyConfig, MemoryProcessorConfig, SampleConfig, SchedPolicy, NO_SKIP_ENV,

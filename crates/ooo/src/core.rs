@@ -23,12 +23,11 @@ use dkip_model::config::{
 };
 use dkip_model::telemetry::{MetricsFrame, NoProbe, Probe, Stage};
 use dkip_model::{
-    drive, ConsumerTable, DepList, Histogram, LastWriters, MicroOp, OpClass, RegClass, SimCore,
-    SimStats, WarmSink,
+    drive, ConsumerTable, DepList, EventQueue, Histogram, LastWriters, MicroOp, OpClass, RegClass,
+    SimCore, SimStats, WarmSink,
 };
 use dkip_trace::{Benchmark, TraceGenerator};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// An outstanding memory access is considered *long latency* (and therefore
 /// creates low execution locality) when its total latency is at least this
@@ -120,8 +119,8 @@ pub struct OooCore {
     lsq: Lsq,
     fus: FunctionalUnits,
     ports: MemPorts,
-    /// Completion events: (cycle, seq).
-    completions: BinaryHeap<Reverse<(u64, u64)>>,
+    /// Issued instructions, due when their execution finishes.
+    completions: EventQueue,
     /// Producer seq → consumer seqs still waiting on it (pooled spines).
     consumers: ConsumerTable,
     /// Architectural register → seq of its most recent producer (flat
@@ -158,7 +157,7 @@ impl OooCore {
             lsq: Lsq::new(params.lsq),
             fus: FunctionalUnits::new(params.fu),
             ports: MemPorts::new(params.memory_ports),
-            completions: BinaryHeap::new(),
+            completions: EventQueue::new(),
             consumers: ConsumerTable::new(),
             last_writer: LastWriters::new(),
             front: FrontEnd::new(params.widths.fetch),
@@ -250,12 +249,8 @@ impl OooCore {
     // ------------------------------------------------------------------
     fn do_writeback<P: Probe>(&mut self, probe: &mut P) -> bool {
         let mut completed = false;
-        while let Some(&Reverse((cycle, seq))) = self.completions.peek() {
-            if cycle > self.cycle {
-                break;
-            }
+        while let Some(seq) = self.completions.pop_due(self.cycle) {
             completed = true;
-            self.completions.pop();
             self.complete_instruction(seq, probe);
         }
         completed
@@ -399,7 +394,7 @@ impl OooCore {
             }
             other => other.exec_latency(),
         };
-        self.completions.push(Reverse((now + latency.max(1), seq)));
+        self.completions.push(now + latency.max(1), seq);
     }
 
     /// Marks `seq` as producing a long-latency value and, when a slow lane
@@ -569,18 +564,15 @@ impl SimCore for OooCore {
     /// The next scheduled execution completion, the end of the front-end
     /// refill penalty, or the next outstanding cache fill.
     fn next_event(&mut self) -> Option<u64> {
-        let mut next = self
-            .completions
-            .peek()
-            .map(|&Reverse((cycle, _))| cycle)
-            .filter(|&cycle| cycle > self.cycle);
-        if let Some(resume) = self.front.next_event(self.cycle) {
-            next = Some(next.map_or(resume, |n| n.min(resume)));
-        }
-        if let Some(fill) = self.mem.next_event(self.cycle) {
-            next = Some(next.map_or(fill, |n| n.min(fill)));
-        }
-        next
+        let now = self.cycle;
+        [
+            self.completions.next_after(now),
+            self.front.next_event(now),
+            self.mem.next_event(now),
+        ]
+        .into_iter()
+        .flatten()
+        .min()
     }
 
     fn is_drained(&self) -> bool {

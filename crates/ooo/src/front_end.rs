@@ -10,7 +10,9 @@
 //! fetched. A mispredicted conditional branch instead stalls fetch and
 //! holds every younger instruction at dispatch until it resolves; then the
 //! younger instructions (conceptually the correct-path refetch) wait out
-//! the refill penalty before they may dispatch.
+//! the refill penalty before they may dispatch. Dispatch is in order from
+//! the queue, so every queued instruction is younger than a dispatched
+//! branch, and at most one mispredict blocks at a time.
 
 use crate::rob::RobEntry;
 use dkip_bpred::PerceptronPredictor;
@@ -26,14 +28,11 @@ pub struct FrontEnd {
     /// Fetched but not yet dispatched instructions (at most 3 × width).
     queue: VecDeque<MicroOp>,
     predictor: PerceptronPredictor,
-    /// Dispatched, mispredicted, not-yet-resolved conditional branches
-    /// (front = oldest). Fetch and younger dispatch stall behind the front.
-    unresolved_mispredicts: VecDeque<u64>,
-    /// Cycle at which fetch may resume after the refill penalty.
+    /// The dispatched, mispredicted, not-yet-resolved conditional branch.
+    /// Fetch and dispatch stall behind it.
+    blocking_mispredict: Option<u64>,
+    /// Cycle at which fetch and dispatch resume after the refill penalty.
     fetch_resume_at: u64,
-    /// Instructions with a sequence number greater than this may not
-    /// dispatch while the refill penalty is being paid.
-    refill_boundary: u64,
     /// Whether the trace iterator has returned `None` (finite traces such as
     /// the execution-driven RISC-V kernels end; the synthetic generators
     /// never do).
@@ -49,9 +48,8 @@ impl FrontEnd {
             width,
             queue: VecDeque::new(),
             predictor: PerceptronPredictor::paper_default(),
-            unresolved_mispredicts: VecDeque::new(),
+            blocking_mispredict: None,
             fetch_resume_at: 0,
-            refill_boundary: u64::MAX,
             trace_done: false,
         }
     }
@@ -68,7 +66,7 @@ impl FrontEnd {
         stats: &mut SimStats,
         probe: &mut P,
     ) -> bool {
-        if !self.unresolved_mispredicts.is_empty() || cycle < self.fetch_resume_at {
+        if self.stalled(cycle) {
             stats.mispredict_stall_cycles += 1;
             return false;
         }
@@ -91,25 +89,24 @@ impl FrontEnd {
     }
 
     /// The oldest fetched instruction, if it may dispatch at `cycle`.
-    /// `None` when the queue is empty, or when the instruction is younger
-    /// than an unresolved mispredicted branch or still waits out the refill
-    /// penalty: instructions younger than the branch are (conceptually)
-    /// wrong-path refetches.
+    /// `None` when the queue is empty, while a mispredicted branch is
+    /// unresolved, or while the refill penalty is being paid: every queued
+    /// instruction is younger than the branch, so (conceptually) a
+    /// wrong-path refetch.
     #[inline]
     #[must_use]
     pub fn head(&self, cycle: u64) -> Option<&MicroOp> {
-        let op = self.queue.front()?;
-        if self
-            .unresolved_mispredicts
-            .front()
-            .is_some_and(|&blocking| op.seq > blocking)
-        {
+        if self.stalled(cycle) {
             return None;
         }
-        if cycle < self.fetch_resume_at && op.seq > self.refill_boundary {
-            return None;
-        }
-        Some(op)
+        self.queue.front()
+    }
+
+    /// Whether fetch and dispatch stall at `cycle`: behind an unresolved
+    /// mispredict, or while the refill penalty is being paid.
+    #[inline]
+    fn stalled(&self, cycle: u64) -> bool {
+        self.blocking_mispredict.is_some() || cycle < self.fetch_resume_at
     }
 
     /// Removes the instruction [`FrontEnd::head`] returned, to dispatch it.
@@ -123,8 +120,8 @@ impl FrontEnd {
     }
 
     /// Predicts a dispatching conditional branch and records the prediction
-    /// in its entry; a mispredicted one blocks younger dispatch and all
-    /// fetch until it resolves. Other instructions are left unchanged.
+    /// in its entry; a mispredicted one blocks dispatch and fetch until it
+    /// resolves. Other instructions are left unchanged.
     #[inline]
     pub fn predict(&mut self, entry: &mut RobEntry) {
         if !entry.op.is_conditional_branch() {
@@ -135,15 +132,18 @@ impl FrontEnd {
         let actual = entry.op.branch.expect("conditional branch").taken;
         entry.mispredicted = predicted != actual;
         if entry.mispredicted {
-            self.unresolved_mispredicts.push_back(entry.op.seq);
+            debug_assert!(
+                self.blocking_mispredict.is_none(),
+                "dispatch behind an unresolved mispredict"
+            );
+            self.blocking_mispredict = Some(entry.op.seq);
         }
     }
 
     /// Resolves `op` as it completes: a conditional branch trains the
-    /// predictor and bumps the branch counters. If it is the oldest
-    /// blocking mispredict, fetch resumes at `resume_at` (the refill
-    /// penalty paid) and instructions younger than it dispatch from then
-    /// on. Returns whether it cleared the oldest blocking mispredict.
+    /// predictor and bumps the branch counters. If it is the blocking
+    /// mispredict, fetch and dispatch resume at `resume_at` (the refill
+    /// penalty paid). Returns whether it cleared the blocking mispredict.
     #[inline]
     pub fn resolve(
         &mut self,
@@ -163,12 +163,11 @@ impl FrontEnd {
             return false;
         }
         stats.branch_mispredicts += 1;
-        if self.unresolved_mispredicts.front() != Some(&op.seq) {
+        if self.blocking_mispredict != Some(op.seq) {
             return false;
         }
-        self.unresolved_mispredicts.pop_front();
+        self.blocking_mispredict = None;
         self.fetch_resume_at = resume_at;
-        self.refill_boundary = op.seq;
         true
     }
 
@@ -260,49 +259,18 @@ mod tests {
             assert!(fe.head(cycle).is_none());
         }
         let mut stats = SimStats::default();
+        // A non-branch resolves to nothing at all.
+        assert!(!fe.resolve(&alu(7), false, false, 10, &mut stats));
+        assert_eq!(stats, SimStats::default());
         assert!(fe.resolve(&branch.op, branch.predicted_taken, true, 10, &mut stats));
         assert_eq!((stats.cond_branches, stats.branch_mispredicts), (1, 1));
-        assert!(fe.head(10).is_some());
+        for cycle in 6..10 {
+            assert!(fe.head(cycle).is_none(), "the refill holds dispatch");
+            let stats = fetch(&mut fe, cycle, &mut ops);
+            assert_eq!((stats.fetched, stats.mispredict_stall_cycles), (0, 1));
+        }
+        assert_eq!(fe.head(10).map(|op| op.seq), Some(2));
         assert_eq!(fetch(&mut fe, 10, &mut ops).mispredict_stall_cycles, 0);
-    }
-
-    #[test]
-    fn after_resolve_younger_ops_wait_for_the_resume_cycle_older_ops_do_not() {
-        let mut fe = FrontEnd::new(4);
-        // The refill holds back by sequence number: ops no younger than the
-        // resolved branch pass, younger ones wait for the resume cycle.
-        let mut entry = RobEntry::new(mispredicted_branch(1), 1, RegClass::Int);
-        fe.predict(&mut entry);
-        fe.queue.extend([alu(0), alu(2)]);
-        let mut stats = SimStats::default();
-        assert!(fe.resolve(&entry.op, entry.predicted_taken, true, 20, &mut stats));
-        assert_eq!(fe.head(5).map(|op| op.seq), Some(0), "older op dispatches");
-        fe.pop();
-        assert!(fe.head(5).is_none(), "younger op waits for the refill");
-        assert!(fe.head(19).is_none());
-        assert_eq!(fe.head(20).map(|op| op.seq), Some(2));
-    }
-
-    #[test]
-    fn resolving_a_younger_mispredict_changes_only_the_branch_counters() {
-        let mut fe = FrontEnd::new(4);
-        let mut ops = [mispredicted_branch(0), mispredicted_branch(1)].into_iter();
-        fetch(&mut fe, 1, &mut ops);
-        let first = dispatch(&mut fe, 2);
-        let mut second = RobEntry::new(fe.pop(), 2, RegClass::Int);
-        fe.predict(&mut second);
-        assert!(first.mispredicted && second.mispredicted);
-        let before = fe.clone();
-        let mut stats = SimStats::default();
-        assert!(!fe.resolve(&second.op, second.predicted_taken, true, 50, &mut stats));
-        assert_eq!((stats.cond_branches, stats.branch_mispredicts), (1, 1));
-        assert_eq!(fe.unresolved_mispredicts, before.unresolved_mispredicts);
-        assert_eq!(fe.fetch_resume_at, before.fetch_resume_at);
-        assert_eq!(fe.refill_boundary, before.refill_boundary);
-        assert_eq!(fe.next_event(0), None);
-        // A non-branch resolves to nothing at all.
-        assert!(!fe.resolve(&alu(7), false, false, 50, &mut stats));
-        assert_eq!((stats.cond_branches, stats.branch_mispredicts), (1, 1));
     }
 
     #[test]

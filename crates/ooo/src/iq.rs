@@ -81,12 +81,6 @@ impl IssueQueue {
         self.capacity
     }
 
-    /// The scheduling policy.
-    #[must_use]
-    pub fn policy(&self) -> SchedPolicy {
-        self.policy
-    }
-
     /// The insertion point keeping `slots` sorted by seq: `Ok(idx)` when the
     /// seq is already present, `Err(idx)` otherwise. Dispatch inserts in
     /// program order (append), so probe the tail before binary-searching.
@@ -145,10 +139,7 @@ impl IssueQueue {
     /// Selects up to `max_issue` instructions to issue this cycle, consuming
     /// functional units / memory ports, removes them from the queue, and
     /// appends the selected `(seq, class)` pairs — oldest first — to
-    /// `issued`.
-    ///
-    /// This is the allocation-free form of [`IssueQueue::select`]: the
-    /// caller owns (and reuses) the output buffer.
+    /// `issued`. The caller owns (and reuses) the output buffer.
     pub fn select_into(
         &mut self,
         max_issue: usize,
@@ -212,22 +203,6 @@ impl IssueQueue {
         self.ready_count -= taken;
     }
 
-    /// Selects up to `max_issue` instructions to issue this cycle, consuming
-    /// functional units / memory ports, and removes them from the queue.
-    ///
-    /// Returns the selected `(seq, class)` pairs, oldest first. Hot callers
-    /// use [`IssueQueue::select_into`] with a reused buffer instead.
-    pub fn select(
-        &mut self,
-        max_issue: usize,
-        fus: &mut FunctionalUnits,
-        ports: &mut MemPorts,
-    ) -> Vec<(u64, OpClass)> {
-        let mut issued = Vec::new();
-        self.select_into(max_issue, fus, ports, &mut issued);
-        issued
-    }
-
     fn acquire_resources(class: OpClass, fus: &mut FunctionalUnits, ports: &mut MemPorts) -> bool {
         if class.is_mem() {
             ports.try_issue()
@@ -251,6 +226,17 @@ mod tests {
         )
     }
 
+    fn select(
+        iq: &mut IssueQueue,
+        max_issue: usize,
+        fus: &mut FunctionalUnits,
+        ports: &mut MemPorts,
+    ) -> Vec<(u64, OpClass)> {
+        let mut issued = Vec::new();
+        iq.select_into(max_issue, fus, ports, &mut issued);
+        issued
+    }
+
     #[test]
     fn ooo_selects_oldest_ready_first() {
         let mut iq = IssueQueue::new(8, SchedPolicy::OutOfOrder);
@@ -258,7 +244,7 @@ mod tests {
         iq.insert(11, OpClass::IntAlu, true);
         iq.insert(12, OpClass::IntAlu, true);
         let (mut fus, mut ports) = resources();
-        let issued = iq.select(1, &mut fus, &mut ports);
+        let issued = select(&mut iq, 1, &mut fus, &mut ports);
         assert_eq!(issued, vec![(11, OpClass::IntAlu)]);
         assert!(iq.contains(10));
         assert!(iq.contains(12));
@@ -273,7 +259,7 @@ mod tests {
         iq.insert(2, OpClass::FpDiv, true);
         iq.insert(3, OpClass::IntAlu, true);
         let (mut fus, mut ports) = resources();
-        let issued = iq.select(4, &mut fus, &mut ports);
+        let issued = select(&mut iq, 4, &mut fus, &mut ports);
         assert_eq!(issued, vec![(1, OpClass::FpDiv), (3, OpClass::IntAlu)]);
         assert!(iq.contains(2));
     }
@@ -284,9 +270,9 @@ mod tests {
         iq.insert(1, OpClass::IntAlu, false);
         iq.insert(2, OpClass::IntAlu, true);
         let (mut fus, mut ports) = resources();
-        assert!(iq.select(4, &mut fus, &mut ports).is_empty());
+        assert!(select(&mut iq, 4, &mut fus, &mut ports).is_empty());
         iq.mark_ready(1);
-        let issued = iq.select(4, &mut fus, &mut ports);
+        let issued = select(&mut iq, 4, &mut fus, &mut ports);
         assert_eq!(
             issued.len(),
             2,
@@ -303,7 +289,7 @@ mod tests {
         iq.insert(2, OpClass::IntMul, true);
         iq.insert(3, OpClass::IntAlu, true);
         let (mut fus, mut ports) = resources();
-        let issued = iq.select(4, &mut fus, &mut ports);
+        let issued = select(&mut iq, 4, &mut fus, &mut ports);
         assert_eq!(
             issued,
             vec![(1, OpClass::IntMul)],
@@ -318,7 +304,7 @@ mod tests {
         iq.insert(2, OpClass::Load, true);
         iq.insert(3, OpClass::Load, true);
         let (mut fus, mut ports) = resources();
-        let issued = iq.select(4, &mut fus, &mut ports);
+        let issued = select(&mut iq, 4, &mut fus, &mut ports);
         assert_eq!(issued.len(), 2, "only two memory ports");
         assert!(fus.can_issue(dkip_model::FuPool::IntAlu));
     }
@@ -330,7 +316,7 @@ mod tests {
             iq.insert(seq, OpClass::IntAlu, true);
         }
         let (mut fus, mut ports) = resources();
-        let issued = iq.select(2, &mut fus, &mut ports);
+        let issued = select(&mut iq, 2, &mut fus, &mut ports);
         assert_eq!(issued.len(), 2);
         assert_eq!(iq.len(), 6);
     }
@@ -355,7 +341,7 @@ mod tests {
         iq.insert(5, OpClass::IntAlu, true);
         iq.insert(12, OpClass::IntAlu, true);
         let (mut fus, mut ports) = resources();
-        let issued = iq.select(3, &mut fus, &mut ports);
+        let issued = select(&mut iq, 3, &mut fus, &mut ports);
         assert_eq!(
             issued.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
             vec![5, 12, 20],
