@@ -222,9 +222,11 @@ chaos-check: build
 ## matrices, and the sampled results must match tests/golden/sampled.golden
 ## bit for bit. The core crates' unit tests ride along: dkip-model (the
 ## EventQueue against the min-heap model, which every drain relies on),
-## dkip-ooo (the shared front end and the event-clock checks), dkip-mem
-## (the flat cache against its reference model) and dkip-core (the
-## bounded D-KIP wakeup table that keeps sampled runs cheap). So do the
+## dkip-ooo (the shared front end, the shared issue engine's wakeup and
+## select protocol, and the event-clock checks), dkip-mem (the flat cache
+## against its reference model) and dkip-core (the D-KIP's wakeup tables,
+## the issue engine's and the low-locality side's, stay bounded by what is
+## in flight, which keeps sampled runs cheap). So do the
 ## functional-warming checks: the dkip-bpred, dkip-riscv and dkip-trace
 ## unit tests (one-pass perceptron training equals predict+update;
 ## warm_forward reports what the skipped ops carry) and the dkip-sim test

@@ -13,7 +13,7 @@
 use dkip_mem::{AccessOutcome, MemStats, MemoryHierarchy};
 use dkip_model::config::AddressProcessorConfig;
 use dkip_model::EventQueue;
-use dkip_ooo::{Lsq, MemPorts};
+use dkip_ooo::{Lsq, MemPorts, MemorySide};
 
 /// The Address Processor.
 ///
@@ -53,25 +53,10 @@ impl AddressProcessor {
         self.pending_loads.pop_due(now)
     }
 
-    /// The shared memory ports (consumed by the CP issue stage and the MPs).
-    pub fn ports_mut(&mut self) -> &mut MemPorts {
-        &mut self.ports
-    }
-
-    /// The load/store queue.
-    pub fn lsq_mut(&mut self) -> &mut Lsq {
-        &mut self.lsq
-    }
-
     /// Immutable access to the load/store queue.
     #[must_use]
     pub fn lsq(&self) -> &Lsq {
         &self.lsq
-    }
-
-    /// Performs a timing access against the hierarchy.
-    pub fn access(&mut self, addr: u64, is_write: bool, now: u64) -> AccessOutcome {
-        self.mem.access(addr, is_write, now)
     }
 
     /// Performs a functional (timing-free) cache-warming access; see
@@ -101,6 +86,27 @@ impl AddressProcessor {
     #[must_use]
     pub fn mem_stats(&self) -> MemStats {
         self.mem.stats()
+    }
+}
+
+/// The Address Processor is the Cache Processor's memory side, and the
+/// Memory Processors reach the LSQ, the shared ports and the hierarchy
+/// through the same three methods.
+impl MemorySide for AddressProcessor {
+    #[inline]
+    fn lsq_mut(&mut self) -> &mut Lsq {
+        &mut self.lsq
+    }
+
+    /// The shared memory ports (consumed by the CP issue stage and the MPs).
+    #[inline]
+    fn ports_mut(&mut self) -> &mut MemPorts {
+        &mut self.ports
+    }
+
+    #[inline]
+    fn access(&mut self, addr: u64, is_write: bool, now: u64) -> AccessOutcome {
+        self.mem.access(addr, is_write, now)
     }
 }
 
@@ -168,10 +174,15 @@ mod tests {
     #[test]
     fn lsq_is_exposed_for_dispatch_and_retire() {
         let mut ap = ap();
-        assert_eq!(ap.lsq().capacity(), 512);
         ap.lsq_mut().dispatch_load(1);
         assert_eq!(ap.lsq().occupancy(), 1);
         ap.lsq_mut().retire_load(1);
         assert_eq!(ap.lsq().occupancy(), 0);
+        // Table 2: a 512-entry LSQ.
+        for seq in 0..512 {
+            assert!(ap.lsq().has_space());
+            ap.lsq_mut().dispatch_load(seq);
+        }
+        assert!(!ap.lsq().has_space());
     }
 }

@@ -9,7 +9,8 @@
 //!
 //! | Paper structure | Module |
 //! |---|---|
-//! | Aging-ROB + Analyze stage | [`processor`] (uses [`dkip_ooo::Rob`]) |
+//! | Cache Processor: rename, issue queues, Aging-ROB | [`processor`] (on [`dkip_ooo::IssueEngine`] and [`dkip_ooo::FrontEnd`]) |
+//! | Analyze stage | [`processor`] |
 //! | Low-Locality Bit Vector + Architectural Writers Log | [`llbv`] |
 //! | Low-Locality Instruction Buffer (integer + FP) | [`llib`] |
 //! | Banked Low-Locality Register File | [`llrf`] |

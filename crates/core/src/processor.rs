@@ -16,10 +16,15 @@
 //! else completes in the Cache Processor. Checkpoints taken at Analyze
 //! provide recovery for branches that resolve in a Memory Processor.
 //!
-//! The Cache Processor's front end — fetch, perceptron branch prediction
-//! and the refill after a mispredict — is the one the out-of-order
-//! baselines use, [`dkip_ooo::FrontEnd`]. Only the Memory-Processor
-//! resolution path adds the checkpoint recovery penalty to the refill.
+//! The Cache Processor is the out-of-order baselines' machine up to its
+//! tail. Its front end — fetch, perceptron branch prediction and the refill
+//! after a mispredict — is [`dkip_ooo::FrontEnd`]; only the Memory-Processor
+//! resolution path adds the checkpoint recovery penalty to the refill. Its
+//! rename, wakeup, select and writeback are [`dkip_ooo::IssueEngine`], over
+//! the Aging-ROB, with the Address Processor as its memory side. What is
+//! the D-KIP's own is the tail: Analyze instead of commit, the handoff of
+//! loads that miss to main memory to the Address Processor, and the drain
+//! of low-locality instructions to the LLIBs.
 
 use crate::address_processor::AddressProcessor;
 use crate::checkpoint::CheckpointStack;
@@ -27,15 +32,13 @@ use crate::llbv::{Llbv, LowLocalityWriter};
 use crate::llib::{Llib, LlibEntry, SourceState};
 use crate::llrf::Llrf;
 use crate::memory_processor::MemoryProcessor;
-use dkip_mem::{AccessLevel, MemoryHierarchy};
+use dkip_mem::MemoryHierarchy;
 use dkip_model::config::{event_clock_enabled, DkipConfig, MemoryHierarchyConfig};
 use dkip_model::telemetry::{MetricsFrame, NoProbe, Probe, Stage};
 use dkip_model::{
-    drive, ConsumerTable, DepList, EventQueue, FastHashMap, LastWriters, MicroOp, OpClass,
-    RegClass, SimCore, SimStats, WarmSink,
+    drive, ConsumerTable, FastHashMap, MicroOp, OpClass, RegClass, SimCore, SimStats, WarmSink,
 };
-use dkip_ooo::lsq::FORWARD_LATENCY;
-use dkip_ooo::{FrontEnd, FunctionalUnits, IssueQueue, Rob, RobEntry};
+use dkip_ooo::{CoreParams, FrontEnd, IssueEngine, MemorySide, RobEntry};
 use dkip_trace::{Benchmark, TraceGenerator};
 
 /// Metadata kept for every instruction that left the Cache Processor as low
@@ -80,16 +83,10 @@ pub struct DkipProcessor {
     cfg: DkipConfig,
     cycle: u64,
 
-    // Cache Processor: the front end shared with the OoO cores, then the
-    // Aging-ROB and the CP issue machinery.
+    // Cache Processor: the front end and the issue engine (over the
+    // Aging-ROB) shared with the OoO cores.
     front: FrontEnd,
-    rob: Rob,
-    cp_int_iq: IssueQueue,
-    cp_fp_iq: IssueQueue,
-    cp_fus: FunctionalUnits,
-    cp_completions: EventQueue,
-    cp_consumers: ConsumerTable,
-    last_writer: LastWriters,
+    engine: IssueEngine,
 
     // Low-locality machinery.
     llbv: Llbv,
@@ -120,9 +117,30 @@ pub struct DkipProcessor {
 
     stats: SimStats,
 
-    // Reusable per-cycle buffers (cleared and refilled every tick; they keep
-    // the steady-state cycle loop free of heap allocation).
+    /// Reusable Memory Processor selection buffer (cleared and refilled
+    /// every tick; it keeps the steady-state cycle loop free of heap
+    /// allocation).
     select_scratch: Vec<(u64, OpClass)>,
+}
+
+/// The issue-engine parameters of a D-KIP's Cache Processor: the Aging-ROB
+/// is its window, and its LSQ and memory ports are the Address
+/// Processor's. It has no slow lane and no issue histogram.
+fn cache_processor_params(cfg: &DkipConfig) -> CoreParams {
+    let cp = &cfg.cache_processor;
+    CoreParams {
+        window: cp.rob_capacity,
+        int_iq: cp.int_iq_capacity,
+        fp_iq: cp.fp_iq_capacity,
+        sched: cp.sched,
+        lsq: cfg.address_processor.lsq_capacity,
+        memory_ports: cfg.address_processor.memory_ports,
+        widths: cp.widths,
+        fu: cp.fu,
+        mispredict_penalty: cp.mispredict_penalty,
+        collect_issue_histogram: false,
+        slow_lane: None,
+    }
 }
 
 impl DkipProcessor {
@@ -138,13 +156,7 @@ impl DkipProcessor {
         DkipProcessor {
             cycle: 0,
             front: FrontEnd::new(cp.widths.fetch),
-            rob: Rob::new(cp.rob_capacity),
-            cp_int_iq: IssueQueue::new(cp.int_iq_capacity, cp.sched),
-            cp_fp_iq: IssueQueue::new(cp.fp_iq_capacity, cp.sched),
-            cp_fus: FunctionalUnits::new(cp.fu),
-            cp_completions: EventQueue::new(),
-            cp_consumers: ConsumerTable::new(),
-            last_writer: LastWriters::new(),
+            engine: IssueEngine::new(&cache_processor_params(&cfg)),
             llbv: Llbv::new(),
             llib_int: Llib::new(cfg.llib.capacity),
             llib_fp: Llib::new(cfg.llib.capacity),
@@ -169,7 +181,7 @@ impl DkipProcessor {
     /// and the Aging-ROB head), for debugging a stuck run.
     #[must_use]
     pub fn debug_state(&self) -> String {
-        let head = self.rob.head().map(|e| {
+        let head = self.engine.rob().head().map(|e| {
             format!(
                 "seq={} {} issued={} completed={} pending={} age={}",
                 e.op.seq,
@@ -181,14 +193,13 @@ impl DkipProcessor {
             )
         });
         format!(
-            "cycle={} committed={} rob={} head=[{}] iq_int={} iq_fp={} wakeups={} llib={}L/{}F mp={}L/{}F chkpt={} llbv={} lsq={}",
+            "cycle={} committed={} rob={} head=[{}] iq={} wakeups={} llib={}L/{}F mp={}L/{}F chkpt={} llbv={} lsq={}",
             self.cycle,
             self.stats.committed,
-            self.rob.len(),
+            self.engine.rob().len(),
             head.unwrap_or_else(|| "empty".to_owned()),
-            self.cp_int_iq.len(),
-            self.cp_fp_iq.len(),
-            self.cp_consumers.len(),
+            self.engine.queued(),
+            self.engine.wakeup_lists(),
             self.llib_int.len(),
             self.llib_fp.len(),
             self.mp_int.occupancy(),
@@ -249,14 +260,24 @@ impl DkipProcessor {
             self.ap.lsq_mut().retire_load(load_seq);
             probe.trace_stage(load_seq, Stage::Complete, self.cycle);
             probe.trace_commit(load_seq, self.cycle);
-        } else if let Some(entry) = self.rob.get_mut(load_seq).filter(|e| e.long_latency) {
+        } else if self
+            .engine
+            .rob()
+            .get(load_seq)
+            .is_some_and(|e| e.long_latency)
+        {
             // The value returned before the load reached the Analyze stage
             // (common for accesses merged into an already-outstanding miss).
             // The load then behaves like a late Cache Processor completion:
             // consumers still inside the CP wake up normally and the Analyze
             // stage commits it as an ordinary executed load.
-            entry.long_latency = false;
-            self.complete_cp_instruction(load_seq, probe);
+            self.engine.complete(
+                load_seq,
+                self.cycle,
+                &mut self.front,
+                &mut self.stats,
+                probe,
+            );
         }
         let waiters = self.load_waiters.take(load_seq);
         for &consumer in &waiters {
@@ -438,64 +459,24 @@ impl DkipProcessor {
     }
 
     // ------------------------------------------------------------------
-    // Cache Processor: writeback, analyze, issue, dispatch, fetch.
+    // Cache Processor: Analyze, and the D-KIP's two decisions in issue and
+    // dispatch. Writeback and fetch are the shared engine's and front end's.
     // ------------------------------------------------------------------
-    fn cp_writeback<P: Probe>(&mut self, probe: &mut P) -> bool {
-        let mut completed = false;
-        while let Some(seq) = self.cp_completions.pop_due(self.cycle) {
-            completed = true;
-            self.complete_cp_instruction(seq, probe);
-        }
-        completed
-    }
 
-    fn complete_cp_instruction<P: Probe>(&mut self, seq: u64, probe: &mut P) {
-        probe.trace_stage(seq, Stage::Complete, self.cycle);
-        let Some(entry) = self.rob.get_mut(seq) else {
-            return;
-        };
-        entry.completed = true;
-        self.front.resolve(
-            &entry.op,
-            entry.predicted_taken,
-            entry.mispredicted,
-            self.cycle + self.cfg.cache_processor.mispredict_penalty,
-            &mut self.stats,
-        );
-        let waiters = self.cp_consumers.take(seq);
-        for &consumer in &waiters {
-            self.wake_cp_consumer(consumer);
-        }
-        self.cp_consumers.recycle(waiters);
-    }
-
-    /// Drops the wakeup list of a producer leaving the Aging-ROB without
-    /// completing in the Cache Processor: a long-latency load handed to the
-    /// Address Processor, or an instruction drained to an LLIB. The list is
-    /// dead — [`Self::complete_cp_instruction`] returns before its `take`
-    /// once the seq has left the ROB, and `cp_dispatch` only wires producers
-    /// still in the ROB — and its consumers are classified through the LLBV
-    /// at Analyze instead. Left in place, such lists would grow the table
-    /// (and every snapshot of the processor) with the length of the run.
-    fn drop_cp_wakeups(&mut self, seq: u64) {
-        let dead = self.cp_consumers.take(seq);
-        self.cp_consumers.recycle(dead);
-    }
-
-    fn wake_cp_consumer(&mut self, seq: u64) {
-        let Some(entry) = self.rob.get_mut(seq) else {
-            return;
-        };
-        if entry.pending_srcs == 0 {
-            return;
-        }
-        entry.pending_srcs -= 1;
-        if entry.pending_srcs == 0 && !entry.issued {
-            match entry.queue_class {
-                RegClass::Int => self.cp_int_iq.mark_ready(seq),
-                RegClass::Fp => self.cp_fp_iq.mark_ready(seq),
-            }
-        }
+    /// Removes the Aging-ROB head as it leaves for the low-locality side (a
+    /// long-latency load handed to the Address Processor, or an instruction
+    /// drained to an LLIB) and takes it out of its CP issue queue if it
+    /// still waits there. Its wakeup list is dropped: the list is dead —
+    /// [`IssueEngine::complete`] returns before its `take` once the seq has
+    /// left the ROB, and dispatch only wires producers still in the ROB —
+    /// and its consumers are classified through the LLBV at Analyze
+    /// instead. Left in place, such lists would grow the table (and every
+    /// snapshot of the processor) with the length of the run.
+    fn leave_cp(&mut self) -> RobEntry {
+        let entry = self.engine.pop_head().expect("head exists");
+        self.engine.drop_wakeups(entry.op.seq);
+        self.engine.unqueue(entry.op.seq, entry.queue_class);
+        entry
     }
 
     /// The Analyze stage: classify up to `analyze width` aged instructions
@@ -506,7 +487,9 @@ impl DkipProcessor {
         let mut advanced = false;
         let mut stalled = false;
         for _ in 0..self.cfg.cache_processor.widths.commit {
-            let Some(head) = self.rob.head() else { break };
+            let Some(head) = self.engine.rob().head() else {
+                break;
+            };
             // The Aging-ROB: instructions reach Analyze a fixed number of
             // cycles after decode.
             if self.cycle < head.dispatch_cycle + self.cfg.cache_processor.rob_timer {
@@ -520,7 +503,7 @@ impl DkipProcessor {
 
             if completed {
                 // High execution locality: executed in the Cache Processor.
-                let entry = self.rob.pop_head().expect("head exists");
+                let entry = self.engine.pop_head().expect("head exists");
                 if let Some(dst) = entry.op.dst {
                     self.llbv.clear(dst);
                 }
@@ -547,8 +530,7 @@ impl DkipProcessor {
                     stalled = true;
                     break;
                 };
-                let entry = self.rob.pop_head().expect("head exists");
-                self.drop_cp_wakeups(seq);
+                let entry = self.leave_cp();
                 if let Some(dst) = entry.op.dst {
                     self.llbv.mark(dst, LowLocalityWriter::Load(seq));
                 }
@@ -612,7 +594,7 @@ impl DkipProcessor {
     /// if a resource (LLIB entry, LLRF register, checkpoint) is unavailable
     /// and the Analyze stage must stall.
     fn insert_into_llib(&mut self, seq: u64) -> bool {
-        let head = self.rob.head().expect("caller checked");
+        let head = self.engine.rob().head().expect("caller checked");
         let op = head.op;
         let class = op.queue_class();
         let llib_has_space = match class {
@@ -660,18 +642,7 @@ impl DkipProcessor {
             return false;
         };
 
-        let entry = self.rob.pop_head().expect("caller checked");
-        self.drop_cp_wakeups(seq);
-        // The instruction leaves the CP issue queue if it was still waiting
-        // there.
-        match entry.queue_class {
-            RegClass::Int => {
-                self.cp_int_iq.remove(seq);
-            }
-            RegClass::Fp => {
-                self.cp_fp_iq.remove(seq);
-            }
-        }
+        let entry = self.leave_cp();
         if let Some(dst) = entry.op.dst {
             self.llbv.mark(dst, LowLocalityWriter::MpInstr(seq));
         }
@@ -700,148 +671,33 @@ impl DkipProcessor {
         true
     }
 
+    /// Cache Processor issue. A load that misses to main memory leaves the
+    /// CP's timing: the Address Processor times its value, and the load's
+    /// destination is flagged in the LLBV when it reaches Analyze.
     fn cp_issue<P: Probe>(&mut self, probe: &mut P) -> bool {
-        let width = self.cfg.cache_processor.widths.issue;
-        let mut selected = std::mem::take(&mut self.select_scratch);
-        selected.clear();
-        self.cp_int_iq
-            .select_into(width, &mut self.cp_fus, self.ap.ports_mut(), &mut selected);
-        let remaining = width.saturating_sub(selected.len());
-        self.cp_fp_iq.select_into(
-            remaining,
-            &mut self.cp_fus,
-            self.ap.ports_mut(),
-            &mut selected,
-        );
-        for &(seq, class) in &selected {
-            probe.trace_stage(seq, Stage::Issue, self.cycle);
-            self.start_cp_execution(seq, class);
-        }
-        let issued = !selected.is_empty();
-        self.select_scratch = selected;
-        issued
+        self.engine
+            .issue(self.cycle, &mut self.ap, probe, |_, ap, seq, arrives_at| {
+                ap.register_long_latency_load(seq, arrives_at);
+                false
+            })
     }
 
-    fn start_cp_execution(&mut self, seq: u64, class: OpClass) {
-        let now = self.cycle;
-        let addr = {
-            let entry = self.rob.get_mut(seq).expect("issued instruction in flight");
-            entry.issued = true;
-            entry.issue_cycle = Some(now);
-            entry.op.mem_addr
-        };
-        match class {
-            OpClass::Load => {
-                let addr = addr.expect("load has an address");
-                if self.ap.lsq().forwards_from_store(seq, addr) {
-                    self.cp_completions.push(now + FORWARD_LATENCY, seq);
-                    return;
-                }
-                let outcome = self.ap.access(addr, false, now);
-                if outcome.level == AccessLevel::Memory {
-                    // Long-latency: the Address Processor takes over; the
-                    // destination register will be flagged in the LLBV when
-                    // the load reaches Analyze.
-                    self.rob
-                        .get_mut(seq)
-                        .expect("issued instruction in flight")
-                        .long_latency = true;
-                    self.ap
-                        .register_long_latency_load(seq, now + outcome.latency);
-                } else {
-                    self.cp_completions.push(now + outcome.latency, seq);
-                }
-            }
-            OpClass::Store => {
-                let addr = addr.expect("store has an address");
-                let _ = self.ap.access(addr, true, now);
-                self.cp_completions.push(now + 1, seq);
-            }
-            other => {
-                self.cp_completions
-                    .push(now + other.exec_latency().max(1), seq);
-            }
-        }
-    }
-
+    /// Cache Processor dispatch. Only producers still in the Aging-ROB count
+    /// as pending: one that has already moved to an LLIB or to the Address
+    /// Processor does not, and its consumer is classified through the LLBV
+    /// at Analyze instead. A consumer with no other pending source can
+    /// therefore issue in the CP before that operand exists; counting the
+    /// `low_meta` producers here, and waking their consumers at MP
+    /// completion or load-value arrival, is the fix.
     fn cp_dispatch<P: Probe>(&mut self, probe: &mut P) -> bool {
-        let mut dispatched = false;
-        for _ in 0..self.cfg.cache_processor.widths.decode {
-            // `None` also behind an unresolved mispredict or the refill.
-            let Some(op) = self.front.head(self.cycle) else {
-                break;
-            };
-            if !self.rob.has_space() {
-                self.stats.rob_full_stall_cycles += 1;
-                break;
-            }
-            if op.class.is_mem() && !self.ap.lsq().has_space() {
-                break;
-            }
-            let queue_class = op.queue_class();
-            let iq = match queue_class {
-                RegClass::Int => &self.cp_int_iq,
-                RegClass::Fp => &self.cp_fp_iq,
-            };
-            if !iq.has_space() {
-                break;
-            }
-
-            let op = self.front.pop();
-            dispatched = true;
-            let seq = op.seq;
-            probe.trace_stage(seq, Stage::Dispatch, self.cycle);
-            let mut entry = RobEntry::new(op, self.cycle, queue_class);
-
-            // Wire dependencies on producers still in the Cache Processor.
-            // Producers that have already moved to the low-locality side are
-            // not wired here: this instruction will be classified by the
-            // LLBV at Analyze instead. The producer list is inline
-            // ([`DepList`]): at most two sources, no heap.
-            let mut pending_producers = DepList::new();
-            for src in entry.op.sources() {
-                if let Some(producer) = self.last_writer.get(src) {
-                    if self
-                        .rob
-                        .get(producer)
-                        .map(|e| !e.completed)
-                        .unwrap_or(false)
-                    {
-                        pending_producers.push(producer);
-                    }
-                }
-            }
-            for producer in pending_producers.iter() {
-                self.cp_consumers.push(producer, seq);
-            }
-            entry.pending_srcs = pending_producers.len();
-            self.front.predict(&mut entry);
-
-            match entry.op.class {
-                OpClass::Load => {
-                    self.ap.lsq_mut().dispatch_load(seq);
-                    self.stats.loads += 1;
-                }
-                OpClass::Store => {
-                    let addr = entry.op.mem_addr.expect("store has an address");
-                    self.ap.lsq_mut().dispatch_store(seq, addr);
-                    self.stats.stores += 1;
-                }
-                _ => {}
-            }
-            if let Some(dst) = entry.op.dst {
-                self.last_writer.set(dst, seq);
-            }
-
-            let ready = entry.pending_srcs == 0;
-            let op_class = entry.op.class;
-            self.rob.push(entry);
-            match queue_class {
-                RegClass::Int => self.cp_int_iq.insert(seq, op_class, ready),
-                RegClass::Fp => self.cp_fp_iq.insert(seq, op_class, ready),
-            }
-        }
-        dispatched
+        self.engine.dispatch(
+            self.cycle,
+            &mut self.front,
+            &mut self.ap,
+            &mut self.stats,
+            probe,
+            |_| false,
+        )
     }
 }
 
@@ -853,7 +709,7 @@ impl SimCore for DkipProcessor {
     fn tick<P: Probe>(&mut self, trace: &mut dyn Iterator<Item = MicroOp>, probe: &mut P) -> bool {
         self.cycle += 1;
         self.stats.ticks_executed += 1;
-        self.cp_fus.begin_cycle();
+        self.engine.begin_cycle();
         self.mp_int.begin_cycle();
         self.mp_fp.begin_cycle();
         self.ap.begin_cycle();
@@ -865,7 +721,9 @@ impl SimCore for DkipProcessor {
         progress |= self.drain_mp_completions(probe);
         progress |= self.mp_issue(probe);
         progress |= self.llib_to_mp_transfer();
-        progress |= self.cp_writeback(probe);
+        progress |= self
+            .engine
+            .writeback(self.cycle, &mut self.front, &mut self.stats, probe);
         progress |= self.analyze(probe);
         progress |= self.cp_issue(probe);
         progress |= self.cp_dispatch(probe);
@@ -882,12 +740,13 @@ impl SimCore for DkipProcessor {
         // The Aging-ROB: a head that has not aged yet becomes analyzable at
         // a fixed future cycle even if nothing else happens.
         let head_ages = self
-            .rob
+            .engine
+            .rob()
             .head()
             .map(|head| head.dispatch_cycle + self.cfg.cache_processor.rob_timer)
             .filter(|&at| at > now);
         [
-            self.cp_completions.next_after(now),
+            self.engine.next_completion(now),
             self.mp_int.next_event(now),
             self.mp_fp.next_event(now),
             self.ap.next_event(now),
@@ -903,7 +762,7 @@ impl SimCore for DkipProcessor {
     /// side (LLIBs / Memory Processors / Address Processor, all tracked by
     /// `low_meta`).
     fn is_drained(&self) -> bool {
-        self.front.is_drained() && self.rob.is_empty() && self.low_meta.is_empty()
+        self.front.is_drained() && self.engine.rob().is_empty() && self.low_meta.is_empty()
     }
 
     fn rearm_trace(&mut self) {
@@ -917,8 +776,8 @@ impl SimCore for DkipProcessor {
         let mut frame = MetricsFrame {
             cycle: self.cycle,
             committed: self.stats.committed,
-            rob: self.rob.len() as u64,
-            iq: (self.cp_int_iq.len() + self.cp_fp_iq.len()) as u64,
+            rob: self.engine.rob().len() as u64,
+            iq: self.engine.queued() as u64,
             lsq: self.ap.lsq().occupancy() as u64,
             llib: (self.llib_int.len() + self.llib_fp.len()) as u64,
             llbv: self.llbv.marked_count() as u64,
@@ -1036,10 +895,10 @@ mod tests {
             for target in (1..=5).map(|step| step * 20_000) {
                 proc_.run(&mut trace, target);
                 assert!(
-                    proc_.cp_consumers.len() <= bound,
+                    proc_.engine.wakeup_lists() <= bound,
                     "{bench:?} after {target} instructions: {} wakeup lists for a \
                      {bound}-entry Aging-ROB",
-                    proc_.cp_consumers.len()
+                    proc_.engine.wakeup_lists()
                 );
                 for (table, len) in [
                     ("low_meta", proc_.low_meta.len()),

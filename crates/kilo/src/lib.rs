@@ -11,14 +11,17 @@
 //! traditional KILO design handles pointer-chasing integer code slightly
 //! better, at the cost of much larger CAM structures.
 //!
-//! The model reuses the `dkip-ooo` engine with its slow-lane option: the
-//! in-flight window is bounded by the SLIQ capacity, the issue queues by
-//! the KILO queue size, and miss-dependent instructions are parked in the
-//! slow lane. The KILO configurations are the most demanding users of that
-//! engine's hot path (a 1088-entry window and 72-entry issue queues), so
-//! they benefit directly from its sorted-slot issue-queue scoreboards,
-//! pooled consumer tables and fast deterministic hashing (see
-//! ARCHITECTURE.md, "Hot-path data structures").
+//! The model is a `dkip-ooo` core whose issue engine
+//! ([`dkip_ooo::IssueEngine`], the one the R10000 baselines and the D-KIP's
+//! Cache Processor share) has its slow lane on: the in-flight window is
+//! bounded by the SLIQ capacity, the issue queues by the KILO queue size,
+//! miss-dependent instructions are parked in the slow lane, and woken ones
+//! re-enter the issue queues through the engine's reinsert stage. The KILO
+//! configurations are the most demanding users of that engine's hot path (a
+//! 1088-entry window and 72-entry issue queues), so they benefit directly
+//! from its sorted-slot issue-queue scoreboards, pooled consumer tables and
+//! fast deterministic hashing (see ARCHITECTURE.md, "Hot-path data
+//! structures").
 //!
 //! [`build_kilo_core`] returns that engine configured as a KILO core, which
 //! [`dkip_model::drive`] runs like every other family; [`run_kilo`] is the
@@ -55,7 +58,6 @@ use dkip_trace::{Benchmark, TraceGenerator};
 #[must_use]
 pub fn kilo_core_params(cfg: &KiloConfig) -> CoreParams {
     CoreParams {
-        name: cfg.name.clone(),
         // The pseudo-ROB is virtualised by checkpointing, so the in-flight
         // window is bounded by the SLIQ plus the pseudo-ROB itself.
         window: cfg.sliq_capacity + cfg.pseudo_rob_capacity,

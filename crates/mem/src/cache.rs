@@ -122,14 +122,6 @@ impl SetAssocCache {
         false
     }
 
-    /// Returns whether `addr` is currently cached, without updating LRU
-    /// state or statistics.
-    #[must_use]
-    pub fn contains(&self, addr: u64) -> bool {
-        let (base, key) = self.set_and_key(addr);
-        self.keys[base..base + self.assoc].contains(&key)
-    }
-
     /// Number of sets.
     #[must_use]
     pub fn num_sets(&self) -> usize {
@@ -242,6 +234,12 @@ mod tests {
         }
     }
 
+    /// Whether `addr` is resident in `cache`, read on a copy so the original's
+    /// recency order and counters are untouched.
+    fn resident(cache: &SetAssocCache, addr: u64) -> bool {
+        cache.clone().access(addr, false)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -276,9 +274,9 @@ mod tests {
             prop_assert_eq!(flat.hits(), reference.hits);
             prop_assert_eq!(flat.misses(), reference.misses);
             for &(addr, _) in &addrs {
-                prop_assert_eq!(flat.contains(addr), reference.contains(addr), "{:#x}", addr);
+                prop_assert_eq!(resident(&flat, addr), reference.contains(addr), "{:#x}", addr);
                 let neighbour = addr ^ (1 << 20);
-                prop_assert_eq!(flat.contains(neighbour), reference.contains(neighbour));
+                prop_assert_eq!(resident(&flat, neighbour), reference.contains(neighbour));
             }
         }
     }
@@ -306,30 +304,34 @@ mod tests {
         // One set of 2-byte lines, and two sets of 1-byte lines: 63-bit tags.
         for (size, line) in [(8, 2), (8, 1)] {
             let mut cache = SetAssocCache::new(size, 4, line).unwrap();
-            assert!(!cache.contains(u64::MAX));
+            assert!(!resident(&cache, u64::MAX));
             assert!(!cache.access(u64::MAX, false), "cold miss");
             assert!(cache.access(u64::MAX, false));
-            assert!(!cache.contains(0));
+            assert!(!resident(&cache, 0));
             assert!(!cache.access(0, false), "tag 0 is not an empty way");
             assert!(cache.access(0, false));
-            assert!(cache.contains(u64::MAX));
+            assert!(resident(&cache, u64::MAX));
             assert_eq!((cache.hits(), cache.misses()), (2, 2));
         }
     }
 
     #[test]
-    fn contains_on_an_empty_set_is_false() {
+    fn an_empty_set_holds_no_line() {
         let mut cache = SetAssocCache::new(256, 2, 64).unwrap();
         for addr in [0, 0x40, 0x80, u64::MAX] {
-            assert!(!cache.contains(addr), "{addr:#x}");
+            assert!(!resident(&cache, addr), "{addr:#x}");
         }
         // Filling set 0 leaves set 1 empty.
         cache.access(0x000, false);
         cache.access(0x080, false);
-        assert!(cache.contains(0x000) && cache.contains(0x080));
-        assert!(!cache.contains(0x040));
-        assert!(!cache.contains(0x0c0));
-        assert_eq!(cache.hits() + cache.misses(), 2, "contains counts nothing");
+        assert!(resident(&cache, 0x000) && resident(&cache, 0x080));
+        assert!(!resident(&cache, 0x040));
+        assert!(!resident(&cache, 0x0c0));
+        assert_eq!(
+            cache.hits() + cache.misses(),
+            2,
+            "reading residency counts nothing"
+        );
     }
 
     #[test]
@@ -388,17 +390,5 @@ mod tests {
         for i in 0..32u64 {
             assert!(cache.access(i * 64, false), "line {i} should be resident");
         }
-    }
-
-    #[test]
-    fn contains_does_not_perturb_stats() {
-        let mut cache = SetAssocCache::new(1024, 2, 64).unwrap();
-        cache.access(0x40, false);
-        let hits = cache.hits();
-        let misses = cache.misses();
-        assert!(cache.contains(0x40));
-        assert!(!cache.contains(0x4000));
-        assert_eq!(cache.hits(), hits);
-        assert_eq!(cache.misses(), misses);
     }
 }

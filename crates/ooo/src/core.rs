@@ -4,42 +4,32 @@
 //! out-of-order pipeline: fetch (with branch prediction), rename/dispatch
 //! into a ROB + issue queues + LSQ, dependency-driven issue bounded by
 //! functional units and memory ports, execution against the memory
-//! hierarchy, and in-order commit.
+//! hierarchy, and in-order commit. Fetch is the shared [`FrontEnd`];
+//! rename, wakeup, select and writeback are the shared [`IssueEngine`];
+//! commit is this core's own tail.
 //!
-//! The same engine also provides the *slow-lane* option used by the
+//! The same core also provides the *slow-lane* option used by the
 //! traditional KILO-instruction baseline (`dkip-kilo`): when a slow lane is
 //! configured, instructions that depend on an outstanding long-latency load
 //! are parked outside the issue queues (as in the WIB / SLIQ proposals) and
 //! re-enter an issue queue once their operands are available.
 
+use crate::engine::{IssueEngine, MemorySide};
 use crate::front_end::FrontEnd;
-use crate::fu::{FunctionalUnits, MemPorts};
-use crate::iq::IssueQueue;
-use crate::lsq::{Lsq, FORWARD_LATENCY};
-use crate::rob::{Rob, RobEntry};
-use dkip_mem::{AccessLevel, MemoryHierarchy};
+use crate::fu::MemPorts;
+use crate::lsq::Lsq;
+use dkip_mem::{AccessOutcome, MemoryHierarchy};
 use dkip_model::config::{
     event_clock_enabled, BaselineConfig, FuConfig, MemoryHierarchyConfig, SchedPolicy, WidthConfig,
 };
-use dkip_model::telemetry::{MetricsFrame, NoProbe, Probe, Stage};
-use dkip_model::{
-    drive, ConsumerTable, DepList, EventQueue, Histogram, LastWriters, MicroOp, OpClass, RegClass,
-    SimCore, SimStats, WarmSink,
-};
+use dkip_model::telemetry::{MetricsFrame, NoProbe, Probe};
+use dkip_model::{drive, MicroOp, OpClass, RegClass, SimCore, SimStats, WarmSink};
 use dkip_trace::{Benchmark, TraceGenerator};
-use std::collections::VecDeque;
-
-/// An outstanding memory access is considered *long latency* (and therefore
-/// creates low execution locality) when its total latency is at least this
-/// many cycles — i.e. it went to main memory rather than a cache.
-pub const LONG_LATENCY_THRESHOLD: u64 = 50;
 
 /// Engine-level parameters, independent of which paper configuration they
 /// came from.
 #[derive(Debug, Clone)]
 pub struct CoreParams {
-    /// Display name.
-    pub name: String,
     /// In-flight instruction window (ROB capacity).
     pub window: usize,
     /// Integer issue-queue capacity.
@@ -67,7 +57,6 @@ pub struct CoreParams {
 impl From<&BaselineConfig> for CoreParams {
     fn from(cfg: &BaselineConfig) -> Self {
         CoreParams {
-            name: cfg.name.clone(),
             window: cfg.rob_capacity,
             int_iq: cfg.int_iq_capacity,
             fp_iq: cfg.fp_iq_capacity,
@@ -105,41 +94,47 @@ impl CoreSnapshot {
     }
 }
 
+/// The cache hierarchy, LSQ and memory ports of an [`OooCore`]: its
+/// [`MemorySide`].
+#[derive(Debug, Clone)]
+pub(crate) struct Memory {
+    pub(crate) hierarchy: MemoryHierarchy,
+    pub(crate) lsq: Lsq,
+    pub(crate) ports: MemPorts,
+}
+
+impl MemorySide for Memory {
+    #[inline]
+    fn lsq_mut(&mut self) -> &mut Lsq {
+        &mut self.lsq
+    }
+
+    #[inline]
+    fn ports_mut(&mut self) -> &mut MemPorts {
+        &mut self.ports
+    }
+
+    #[inline]
+    fn access(&mut self, addr: u64, is_write: bool, now: u64) -> AccessOutcome {
+        self.hierarchy.access(addr, is_write, now)
+    }
+}
+
 /// The trace-driven out-of-order core.
 #[derive(Debug, Clone)]
 pub struct OooCore {
     params: CoreParams,
-    mem: MemoryHierarchy,
+    memory: Memory,
     /// Fetch, branch prediction and mispredict recovery.
     front: FrontEnd,
+    /// Rename, wakeup, select and writeback, with the slow lane.
+    engine: IssueEngine,
     cycle: u64,
-    rob: Rob,
-    int_iq: IssueQueue,
-    fp_iq: IssueQueue,
-    lsq: Lsq,
-    fus: FunctionalUnits,
-    ports: MemPorts,
-    /// Issued instructions, due when their execution finishes.
-    completions: EventQueue,
-    /// Producer seq → consumer seqs still waiting on it (pooled spines).
-    consumers: ConsumerTable,
-    /// Architectural register → seq of its most recent producer (flat
-    /// scoreboard).
-    last_writer: LastWriters,
-    /// Number of ROB entries parked in the slow lane ([`RobEntry::parked`];
-    /// only a configured slow lane parks any).
-    parked: usize,
-    /// Parked instructions whose operands are now ready, waiting for issue
-    /// queue space.
-    reinsert_queue: VecDeque<u64>,
     /// Force one tick per simulated cycle instead of letting [`drive`]
     /// fast-forward over quiesced stretches (set by `DKIP_NO_SKIP=1`).
     single_step: bool,
     stats: SimStats,
-    issue_hist: Option<Histogram>,
-    /// Reusable per-cycle selection buffer (see [`IssueQueue::select_into`]).
-    issue_scratch: Vec<(u64, OpClass)>,
-    /// Reusable traversal frontier for [`OooCore::mark_long_latency`].
+    /// Reusable traversal frontier for [`park_dependants`].
     frontier_scratch: Vec<u64>,
 }
 
@@ -147,29 +142,18 @@ impl OooCore {
     /// Builds a core from engine parameters and a memory hierarchy.
     #[must_use]
     pub fn new(params: CoreParams, mem: MemoryHierarchy) -> Self {
-        let issue_hist = params
-            .collect_issue_histogram
-            .then(|| Histogram::new(20, 2000));
         OooCore {
-            rob: Rob::new(params.window),
-            int_iq: IssueQueue::new(params.int_iq, params.sched),
-            fp_iq: IssueQueue::new(params.fp_iq, params.sched),
-            lsq: Lsq::new(params.lsq),
-            fus: FunctionalUnits::new(params.fu),
-            ports: MemPorts::new(params.memory_ports),
-            completions: EventQueue::new(),
-            consumers: ConsumerTable::new(),
-            last_writer: LastWriters::new(),
+            memory: Memory {
+                hierarchy: mem,
+                lsq: Lsq::new(params.lsq),
+                ports: MemPorts::new(params.memory_ports),
+            },
             front: FrontEnd::new(params.widths.fetch),
-            parked: 0,
-            reinsert_queue: VecDeque::new(),
+            engine: IssueEngine::new(&params),
+            cycle: 0,
             single_step: !event_clock_enabled(),
             stats: SimStats::new(),
-            issue_hist,
-            issue_scratch: Vec::new(),
             frontier_scratch: Vec::new(),
-            cycle: 0,
-            mem,
             params,
         }
     }
@@ -217,21 +201,17 @@ impl OooCore {
         drive(self, trace, max_instrs, &mut NoProbe)
     }
 
-    // ------------------------------------------------------------------
-    // Commit
-    // ------------------------------------------------------------------
     fn do_commit<P: Probe>(&mut self, probe: &mut P) -> bool {
         let mut committed = false;
         for _ in 0..self.params.widths.commit {
-            let Some(head) = self.rob.head() else { break };
-            if !head.completed {
+            if !self.engine.rob().head().is_some_and(|head| head.completed) {
                 break;
             }
             committed = true;
-            let entry = self.rob.pop_head().expect("head exists");
+            let entry = self.engine.pop_head().expect("head exists");
             match entry.op.class {
-                OpClass::Load => self.lsq.retire_load(entry.op.seq),
-                OpClass::Store => self.lsq.retire_store(
+                OpClass::Load => self.memory.lsq.retire_load(entry.op.seq),
+                OpClass::Store => self.memory.lsq.retire_store(
                     entry.op.seq,
                     entry.op.mem_addr.expect("store has an address"),
                 ),
@@ -243,303 +223,36 @@ impl OooCore {
         }
         committed
     }
+}
 
-    // ------------------------------------------------------------------
-    // Writeback / wakeup
-    // ------------------------------------------------------------------
-    fn do_writeback<P: Probe>(&mut self, probe: &mut P) -> bool {
-        let mut completed = false;
-        while let Some(seq) = self.completions.pop_due(self.cycle) {
-            completed = true;
-            self.complete_instruction(seq, probe);
-        }
-        completed
+/// The OoO cores' answer to a load that missed to main memory: it completes
+/// in the pipeline when its value arrives, and a configured slow lane first
+/// parks its not-yet-issued dependants outside the issue queues
+/// (transitively), as the WIB/SLIQ designs do.
+fn park_dependants(engine: &mut IssueEngine, frontier: &mut Vec<u64>, seq: u64) {
+    if engine.slow_lane.is_none() {
+        return;
     }
-
-    fn complete_instruction<P: Probe>(&mut self, seq: u64, probe: &mut P) {
-        probe.trace_stage(seq, Stage::Complete, self.cycle);
-        let Some(entry) = self.rob.get_mut(seq) else {
-            return;
-        };
-        entry.completed = true;
-        entry.long_latency = false;
-        self.front.resolve(
-            &entry.op,
-            entry.predicted_taken,
-            entry.mispredicted,
-            self.cycle + self.params.mispredict_penalty,
-            &mut self.stats,
-        );
-
-        // Wake consumers.
-        let waiters = self.consumers.take(seq);
-        for &consumer in &waiters {
-            self.wake_consumer(consumer);
-        }
-        self.consumers.recycle(waiters);
-    }
-
-    fn wake_consumer(&mut self, seq: u64) {
-        let Some(entry) = self.rob.get_mut(seq) else {
-            return;
-        };
-        if entry.pending_srcs == 0 {
-            return;
-        }
-        entry.pending_srcs -= 1;
-        if entry.pending_srcs == 0 && !entry.issued {
-            if entry.parked {
-                // Parked instructions re-enter an issue queue when space
-                // allows.
-                entry.parked = false;
-                self.parked -= 1;
-                self.reinsert_queue.push_back(seq);
-            } else {
-                match entry.queue_class {
-                    RegClass::Int => self.int_iq.mark_ready(seq),
-                    RegClass::Fp => self.fp_iq.mark_ready(seq),
-                }
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Slow-lane reinsertion (KILO baseline only)
-    // ------------------------------------------------------------------
-    fn do_reinsert(&mut self) -> bool {
-        let mut moved = false;
-        let budget = self.params.widths.decode;
-        for _ in 0..budget {
-            let Some(&seq) = self.reinsert_queue.front() else {
-                break;
-            };
-            let Some(entry) = self.rob.get(seq) else {
-                self.reinsert_queue.pop_front();
-                moved = true;
+    frontier.clear();
+    frontier.push(seq);
+    while let Some(producer) = frontier.pop() {
+        for &consumer in engine.consumers.get(producer) {
+            let Some(entry) = engine.rob.get_mut(consumer) else {
                 continue;
             };
-            let class = entry.queue_class;
-            let op_class = entry.op.class;
-            let iq = match class {
-                RegClass::Int => &mut self.int_iq,
-                RegClass::Fp => &mut self.fp_iq,
+            if entry.issued || entry.parked {
+                continue;
+            }
+            let moved = match entry.queue_class {
+                RegClass::Int => engine.int_iq.remove(consumer),
+                RegClass::Fp => engine.fp_iq.remove(consumer),
             };
-            if !iq.has_space() {
-                break;
-            }
-            iq.insert(seq, op_class, true);
-            self.reinsert_queue.pop_front();
-            moved = true;
-        }
-        moved
-    }
-
-    // ------------------------------------------------------------------
-    // Issue / execute
-    // ------------------------------------------------------------------
-    fn do_issue<P: Probe>(&mut self, probe: &mut P) -> bool {
-        let width = self.params.widths.issue;
-        let mut selected = std::mem::take(&mut self.issue_scratch);
-        selected.clear();
-        self.int_iq
-            .select_into(width, &mut self.fus, &mut self.ports, &mut selected);
-        let remaining = width.saturating_sub(selected.len());
-        self.fp_iq
-            .select_into(remaining, &mut self.fus, &mut self.ports, &mut selected);
-
-        for &(seq, class) in &selected {
-            probe.trace_stage(seq, Stage::Issue, self.cycle);
-            self.start_execution(seq, class);
-        }
-        let issued = !selected.is_empty();
-        self.issue_scratch = selected;
-        issued
-    }
-
-    fn start_execution(&mut self, seq: u64, class: OpClass) {
-        let now = self.cycle;
-        let (addr, dispatch_cycle) = {
-            let entry = self
-                .rob
-                .get_mut(seq)
-                .expect("issued instruction must be in flight");
-            entry.issued = true;
-            entry.issue_cycle = Some(now);
-            (entry.op.mem_addr, entry.dispatch_cycle)
-        };
-        if let Some(hist) = self.issue_hist.as_mut() {
-            hist.record(now - dispatch_cycle);
-        }
-
-        let latency = match class {
-            OpClass::Load => {
-                let addr = addr.expect("load has an address");
-                if self.lsq.forwards_from_store(seq, addr) {
-                    FORWARD_LATENCY
-                } else {
-                    let outcome = self.mem.access(addr, false, now);
-                    if outcome.level == AccessLevel::Memory {
-                        self.mark_long_latency(seq);
-                    }
-                    outcome.latency
-                }
-            }
-            OpClass::Store => {
-                let addr = addr.expect("store has an address");
-                // The store is considered complete once it is in the store
-                // buffer; the cache is updated immediately for timing
-                // purposes.
-                let _ = self.mem.access(addr, true, now);
-                1
-            }
-            other => other.exec_latency(),
-        };
-        self.completions.push(now + latency.max(1), seq);
-    }
-
-    /// Marks `seq` as producing a long-latency value and, when a slow lane
-    /// is configured, parks its not-yet-issued dependants outside the issue
-    /// queues (transitively), as the WIB/SLIQ designs do.
-    fn mark_long_latency(&mut self, seq: u64) {
-        self.rob
-            .get_mut(seq)
-            .expect("issued instruction must be in flight")
-            .long_latency = true;
-        if self.params.slow_lane.is_none() {
-            return;
-        }
-        let mut frontier = std::mem::take(&mut self.frontier_scratch);
-        frontier.clear();
-        frontier.push(seq);
-        while let Some(producer) = frontier.pop() {
-            for &consumer in self.consumers.get(producer) {
-                let Some(entry) = self.rob.get_mut(consumer) else {
-                    continue;
-                };
-                if entry.issued || entry.parked {
-                    continue;
-                }
-                let moved = match entry.queue_class {
-                    RegClass::Int => self.int_iq.remove(consumer),
-                    RegClass::Fp => self.fp_iq.remove(consumer),
-                };
-                if moved {
-                    entry.parked = true;
-                    self.parked += 1;
-                    frontier.push(consumer);
-                }
+            if moved {
+                entry.parked = true;
+                engine.parked += 1;
+                frontier.push(consumer);
             }
         }
-        self.frontier_scratch = frontier;
-    }
-
-    // ------------------------------------------------------------------
-    // Dispatch / rename
-    // ------------------------------------------------------------------
-    fn do_dispatch<P: Probe>(&mut self, probe: &mut P) -> bool {
-        let mut dispatched = false;
-        for _ in 0..self.params.widths.decode {
-            // `None` also behind an unresolved mispredict or the refill.
-            let Some(op) = self.front.head(self.cycle) else {
-                break;
-            };
-            if !self.rob.has_space() {
-                self.stats.rob_full_stall_cycles += 1;
-                break;
-            }
-            if op.class.is_mem() && !self.lsq.has_space() {
-                break;
-            }
-            let queue_class = op.queue_class();
-            // Decide whether the instruction goes to an issue queue or is
-            // parked in the slow lane before checking queue space. The
-            // producer list is inline ([`DepList`]): a micro-op has at most
-            // two sources, so dispatch never touches the heap for it.
-            let mut pending_producers = DepList::new();
-            for src in op.sources() {
-                if let Some(producer) = self.last_writer.get(src) {
-                    if self
-                        .rob
-                        .get(producer)
-                        .map(|e| !e.completed)
-                        .unwrap_or(false)
-                    {
-                        pending_producers.push(producer);
-                    }
-                }
-            }
-            // Every pending producer is an in-flight ROB entry.
-            let depends_on_long_latency = pending_producers.iter().any(|p| {
-                self.rob
-                    .get(p)
-                    .is_some_and(|producer| producer.long_latency || producer.parked)
-            });
-            let park = self.params.slow_lane.is_some()
-                && depends_on_long_latency
-                && !pending_producers.is_empty();
-            if park {
-                if self.parked >= self.params.slow_lane.unwrap_or(usize::MAX) {
-                    break;
-                }
-            } else {
-                let iq = match queue_class {
-                    RegClass::Int => &self.int_iq,
-                    RegClass::Fp => &self.fp_iq,
-                };
-                if !iq.has_space() {
-                    break;
-                }
-            }
-
-            let op = self.front.pop();
-            dispatched = true;
-            let seq = op.seq;
-            probe.trace_stage(seq, Stage::Dispatch, self.cycle);
-            let mut entry = RobEntry::new(op, self.cycle, queue_class);
-
-            // Wire dependencies.
-            for producer in pending_producers.iter() {
-                self.consumers.push(producer, seq);
-            }
-            // A pointer-chasing load can name the same producer twice via
-            // dst==src; dedup is unnecessary because sources() yields each
-            // register slot once and distinct slots may legitimately wait on
-            // the same producer (two wakeups, counted twice at dispatch).
-            entry.pending_srcs = pending_producers.len();
-            self.front.predict(&mut entry);
-
-            match entry.op.class {
-                OpClass::Load => {
-                    self.lsq.dispatch_load(seq);
-                    self.stats.loads += 1;
-                }
-                OpClass::Store => {
-                    let addr = entry.op.mem_addr.expect("store has an address");
-                    self.lsq.dispatch_store(seq, addr);
-                    self.stats.stores += 1;
-                }
-                _ => {}
-            }
-
-            if let Some(dst) = entry.op.dst {
-                self.last_writer.set(dst, seq);
-            }
-
-            let ready = entry.pending_srcs == 0;
-            let op_class = entry.op.class;
-            // A parked instruction waits on at least one producer, so it is
-            // never ready at dispatch.
-            entry.parked = park;
-            self.parked += usize::from(park);
-            self.rob.push(entry);
-            if !park {
-                match queue_class {
-                    RegClass::Int => self.int_iq.insert(seq, op_class, ready),
-                    RegClass::Fp => self.fp_iq.insert(seq, op_class, ready),
-                }
-            }
-        }
-        dispatched
     }
 }
 
@@ -550,14 +263,31 @@ impl SimCore for OooCore {
     fn tick<P: Probe>(&mut self, trace: &mut dyn Iterator<Item = MicroOp>, probe: &mut P) -> bool {
         self.cycle += 1;
         self.stats.ticks_executed += 1;
-        self.fus.begin_cycle();
-        self.ports.begin_cycle();
+        self.engine.begin_cycle();
+        self.memory.ports.begin_cycle();
+        let now = self.cycle;
         let mut progress = self.do_commit(probe);
-        progress |= self.do_writeback(probe);
-        progress |= self.do_reinsert();
-        progress |= self.do_issue(probe);
-        progress |= self.do_dispatch(probe);
-        progress |= self.front.fetch(self.cycle, trace, &mut self.stats, probe);
+        progress |= self
+            .engine
+            .writeback(now, &mut self.front, &mut self.stats, probe);
+        progress |= self.engine.reinsert();
+        let frontier = &mut self.frontier_scratch;
+        progress |= self
+            .engine
+            .issue(now, &mut self.memory, probe, |engine, _, seq, _| {
+                park_dependants(engine, frontier, seq);
+                true
+            });
+        // A producer leaves the ROB only at commit, after it completed.
+        progress |= self.engine.dispatch(
+            now,
+            &mut self.front,
+            &mut self.memory,
+            &mut self.stats,
+            probe,
+            |_| false,
+        );
+        progress |= self.front.fetch(now, trace, &mut self.stats, probe);
         progress
     }
 
@@ -566,9 +296,9 @@ impl SimCore for OooCore {
     fn next_event(&mut self) -> Option<u64> {
         let now = self.cycle;
         [
-            self.completions.next_after(now),
+            self.engine.next_completion(now),
             self.front.next_event(now),
-            self.mem.next_event(now),
+            self.memory.hierarchy.next_event(now),
         ]
         .into_iter()
         .flatten()
@@ -576,7 +306,7 @@ impl SimCore for OooCore {
     }
 
     fn is_drained(&self) -> bool {
-        self.front.is_drained() && self.rob.is_empty()
+        self.front.is_drained() && self.engine.rob().is_empty()
     }
 
     fn rearm_trace(&mut self) {
@@ -589,10 +319,10 @@ impl SimCore for OooCore {
         let mut frame = MetricsFrame {
             cycle: self.cycle,
             committed: self.stats.committed,
-            rob: self.rob.len() as u64,
-            iq: (self.int_iq.len() + self.fp_iq.len()) as u64,
-            lsq: self.lsq.occupancy() as u64,
-            llib: self.parked as u64,
+            rob: self.engine.rob().len() as u64,
+            iq: self.engine.queued() as u64,
+            lsq: self.memory.lsq.occupancy() as u64,
+            llib: self.engine.parked as u64,
             llbv: 0,
             cond_branches: self.stats.cond_branches,
             branch_mispredicts: self.stats.branch_mispredicts,
@@ -600,17 +330,17 @@ impl SimCore for OooCore {
             cycles_skipped: self.stats.cycles_skipped,
             ..MetricsFrame::default()
         };
-        self.mem.stats().fill_metrics(&mut frame);
+        self.memory.hierarchy.stats().fill_metrics(&mut frame);
         frame
     }
 
     fn finalize_stats(&mut self) {
         self.stats.cycles = self.cycle;
-        let mem_stats = self.mem.stats();
+        let mem_stats = self.memory.hierarchy.stats();
         self.stats.l1_hits = mem_stats.l1_hits;
         self.stats.l2_hits = mem_stats.l2_hits;
         self.stats.mem_accesses = mem_stats.memory_accesses;
-        self.stats.issue_latency = self.issue_hist.clone();
+        self.stats.issue_latency = self.engine.issue_hist.clone();
     }
 
     fn single_step(&self) -> bool {
@@ -647,7 +377,7 @@ impl SimCore for OooCore {
 /// timing. The pipeline, clock and committed counters are untouched.
 impl WarmSink for OooCore {
     fn warm_mem(&mut self, addr: u64, is_write: bool) {
-        self.mem.warm_access(addr, is_write);
+        self.memory.hierarchy.warm_access(addr, is_write);
     }
 
     fn warm_branch(&mut self, pc: u64, taken: bool) {
@@ -895,11 +625,19 @@ mod tests {
             let mut trace = TraceGenerator::new(bench, 1);
             for target in (1..=5).map(|step| step * 4_000) {
                 core.run(&mut trace, target);
-                let parked = core.rob.iter().filter(|e| e.parked).count();
-                assert_eq!(core.parked, parked, "{bench:?} after {target} instructions");
+                let rob = core.engine.rob();
+                let head = rob.head().map_or(0, |e| e.op.seq);
+                let entries: Vec<_> = (head..head + rob.len() as u64)
+                    .map(|seq| rob.get(seq).expect("the ROB is dense"))
+                    .collect();
+                let parked = entries.iter().filter(|e| e.parked).count();
+                assert_eq!(
+                    core.engine.parked, parked,
+                    "{bench:?} after {target} instructions"
+                );
                 assert!(parked <= 512);
                 assert!(
-                    core.rob.iter().all(|e| !(e.long_latency && e.completed)),
+                    entries.iter().all(|e| !(e.long_latency && e.completed)),
                     "{bench:?}: a completed load still flagged long latency"
                 );
                 most_parked = most_parked.max(parked);

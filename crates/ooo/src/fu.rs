@@ -35,12 +35,6 @@ impl FunctionalUnits {
         ];
     }
 
-    /// Whether an operation of `pool` can start this cycle.
-    #[must_use]
-    pub fn can_issue(&self, pool: FuPool) -> bool {
-        self.available[pool.index()] > 0
-    }
-
     /// Consumes one unit of `pool` for this cycle; returns `false` without
     /// consuming anything if the pool is exhausted.
     pub fn try_issue(&mut self, pool: FuPool) -> bool {
@@ -76,12 +70,6 @@ impl MemPorts {
         self.available = self.ports;
     }
 
-    /// Whether a memory operation can start this cycle.
-    #[must_use]
-    pub fn can_issue(&self) -> bool {
-        self.available > 0
-    }
-
     /// Consumes one port; returns `false` without consuming if exhausted.
     pub fn try_issue(&mut self) -> bool {
         if self.available > 0 {
@@ -115,15 +103,15 @@ mod tests {
         for _ in 0..4 {
             assert!(fus.try_issue(FuPool::IntAlu));
         }
-        assert!(!fus.can_issue(FuPool::IntAlu));
+        assert!(!fus.try_issue(FuPool::IntAlu));
     }
 
     #[test]
     fn pools_are_independent() {
         let mut fus = FunctionalUnits::new(FuConfig::paper_default());
         while fus.try_issue(FuPool::FpAdd) {}
-        assert!(fus.can_issue(FuPool::FpMulDiv));
-        assert!(fus.can_issue(FuPool::IntAlu));
+        assert!(fus.try_issue(FuPool::FpMulDiv));
+        assert!(fus.try_issue(FuPool::IntAlu));
     }
 
     #[test]
@@ -133,6 +121,6 @@ mod tests {
         assert!(ports.try_issue());
         assert!(!ports.try_issue());
         ports.begin_cycle();
-        assert!(ports.can_issue());
+        assert!(ports.try_issue());
     }
 }

@@ -75,12 +75,6 @@ impl IssueQueue {
         self.slots.len() < self.capacity
     }
 
-    /// The queue capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// The insertion point keeping `slots` sorted by seq: `Ok(idx)` when the
     /// seq is already present, `Err(idx)` otherwise. Dispatch inserts in
     /// program order (append), so probe the tail before binary-searching.
@@ -115,12 +109,6 @@ impl IssueQueue {
             self.ready_count += usize::from(!self.slots[idx].ready);
             self.slots[idx].ready = true;
         }
-    }
-
-    /// Whether the queue currently holds instruction `seq`.
-    #[must_use]
-    pub fn contains(&self, seq: u64) -> bool {
-        self.position(seq).is_ok()
     }
 
     /// Removes instruction `seq` without issuing it (used when an
@@ -246,8 +234,8 @@ mod tests {
         let (mut fus, mut ports) = resources();
         let issued = select(&mut iq, 1, &mut fus, &mut ports);
         assert_eq!(issued, vec![(11, OpClass::IntAlu)]);
-        assert!(iq.contains(10));
-        assert!(iq.contains(12));
+        assert!(iq.remove(10));
+        assert!(iq.remove(12));
     }
 
     #[test]
@@ -261,7 +249,7 @@ mod tests {
         let (mut fus, mut ports) = resources();
         let issued = select(&mut iq, 4, &mut fus, &mut ports);
         assert_eq!(issued, vec![(1, OpClass::FpDiv), (3, OpClass::IntAlu)]);
-        assert!(iq.contains(2));
+        assert!(iq.remove(2));
     }
 
     #[test]
@@ -306,7 +294,7 @@ mod tests {
         let (mut fus, mut ports) = resources();
         let issued = select(&mut iq, 4, &mut fus, &mut ports);
         assert_eq!(issued.len(), 2, "only two memory ports");
-        assert!(fus.can_issue(dkip_model::FuPool::IntAlu));
+        assert!(fus.try_issue(dkip_model::FuPool::IntAlu));
     }
 
     #[test]

@@ -4,18 +4,21 @@
 //! (`R10-64`, `R10-256`, the idealised cores of Figures 1–3) and builds its
 //! own Cache Processor out of the same structures. This crate provides:
 //!
-//! * the reusable pipeline components — [`front_end::FrontEnd`] (fetch,
-//!   branch prediction and mispredict recovery), [`rob::Rob`],
-//!   [`iq::IssueQueue`], [`lsq::Lsq`], [`fu::FunctionalUnits`] and
-//!   [`fu::MemPorts`] — which are also used by the D-KIP's Cache Processor
-//!   (`dkip-core`) and the traditional KILO baseline (`dkip-kilo`),
+//! * the two parts every core family shares — [`front_end::FrontEnd`]
+//!   (fetch, branch prediction and mispredict recovery) and
+//!   [`engine::IssueEngine`] (rename, wakeup, select and writeback over a
+//!   [`rob::Rob`] and two [`iq::IssueQueue`]s) — held by [`core::OooCore`]
+//!   and by the D-KIP's Cache Processor (`dkip-core`),
+//! * the components they are built from, which the D-KIP's Memory and
+//!   Address Processors also use: [`iq::IssueQueue`], [`lsq::Lsq`],
+//!   [`fu::FunctionalUnits`] and [`fu::MemPorts`],
 //! * [`core::OooCore`], a trace-driven cycle-level out-of-order pipeline
 //!   with branch prediction, dependency-driven wakeup, functional-unit and
 //!   memory-port arbitration, store-to-load forwarding and in-order commit;
 //!   it implements [`dkip_model::SimCore`], so [`dkip_model::drive`] runs
 //!   it like every other core,
-//! * an optional *slow lane* (WIB/SLIQ-style buffer) in the same engine,
-//!   used by the KILO-1024 baseline,
+//! * an optional *slow lane* (WIB/SLIQ-style buffer) in the issue engine,
+//!   used by the KILO-1024 baseline (`dkip-kilo`),
 //! * [`core::run_baseline`], the one-call entry point for a synthetic
 //!   benchmark on a baseline configuration.
 //!
@@ -40,13 +43,15 @@
 #![warn(missing_debug_implementations)]
 
 pub mod core;
+pub mod engine;
 pub mod front_end;
 pub mod fu;
 pub mod iq;
 pub mod lsq;
 pub mod rob;
 
-pub use crate::core::{run_baseline, CoreParams, CoreSnapshot, OooCore, LONG_LATENCY_THRESHOLD};
+pub use crate::core::{run_baseline, CoreParams, CoreSnapshot, OooCore};
+pub use engine::{IssueEngine, MemorySide};
 pub use front_end::FrontEnd;
 pub use fu::{FunctionalUnits, MemPorts};
 pub use iq::IssueQueue;

@@ -64,12 +64,6 @@ impl Lsq {
         self.occupancy
     }
 
-    /// The configured capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     fn slot(addr: u64) -> u64 {
         addr & !7
     }

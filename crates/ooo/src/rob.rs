@@ -32,8 +32,6 @@ pub struct RobEntry {
     pub mispredicted: bool,
     /// Which issue queue (by register class) the instruction was sent to.
     pub queue_class: RegClass,
-    /// Cycle at which the instruction issued (for the Figure 3 histogram).
-    pub issue_cycle: Option<u64>,
     /// A load that missed to main memory and whose value has not arrived
     /// yet (its dependants have low execution locality).
     pub long_latency: bool,
@@ -55,7 +53,6 @@ impl RobEntry {
             predicted_taken: false,
             mispredicted: false,
             queue_class,
-            issue_cycle: None,
             long_latency: false,
             parked: false,
         }
@@ -102,23 +99,6 @@ impl Rob {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// The configured capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The sequence number of the oldest in-flight instruction (the next to
-    /// commit), if any.
-    #[must_use]
-    pub fn head_seq(&self) -> Option<u64> {
-        if self.entries.is_empty() {
-            None
-        } else {
-            Some(self.head_seq)
-        }
     }
 
     /// Appends a dispatched instruction.
@@ -172,11 +152,6 @@ impl Rob {
         self.head_seq += 1;
         Some(entry)
     }
-
-    /// Iterates over the in-flight entries in program order.
-    pub fn iter(&self) -> impl Iterator<Item = &RobEntry> {
-        self.entries.iter()
-    }
 }
 
 #[cfg(test)]
@@ -199,10 +174,10 @@ mod tests {
             rob.push(entry(seq));
         }
         assert!(!rob.has_space());
-        assert_eq!(rob.head_seq(), Some(0));
+        assert_eq!(rob.head().map(|e| e.op.seq), Some(0));
         let head = rob.pop_head().unwrap();
         assert_eq!(head.op.seq, 0);
-        assert_eq!(rob.head_seq(), Some(1));
+        assert_eq!(rob.head().map(|e| e.op.seq), Some(1));
         assert!(rob.has_space());
     }
 
@@ -239,19 +214,9 @@ mod tests {
     }
 
     #[test]
-    fn iteration_preserves_order() {
-        let mut rob = Rob::new(8);
-        for seq in 0..6 {
-            rob.push(entry(seq));
-        }
-        let seqs: Vec<u64> = rob.iter().map(|e| e.op.seq).collect();
-        assert_eq!(seqs, vec![0, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
     fn empty_rob_reports_no_head() {
         let mut rob = Rob::new(2);
-        assert!(rob.head_seq().is_none());
+        assert!(rob.head().is_none());
         assert!(rob.pop_head().is_none());
         assert!(rob.is_empty());
     }
