@@ -59,13 +59,15 @@ loc:
 ## snapshots in tests/golden/ (incl. the RISC-V kernel sweep and the four
 ## golden matrices run sampled, sampled.golden), single- and multi-threaded
 ## (see EXPERIMENTS.md).
-## perf_invariance and skip_equivalence hard-pin their own 1- and 8-thread
-## runners (they ignore DKIP_THREADS), so one invocation covers both thread
-## counts; skip_equivalence additionally runs every suite with the
-## event-driven clock on and off (DKIP_NO_SKIP) and requires bit-identical
-## statistics.
+## perf_invariance, skip_equivalence and capacity_reuse hard-pin their own
+## 1- and 8-thread runners (they ignore DKIP_THREADS), so one invocation
+## covers both thread counts; skip_equivalence additionally runs every suite
+## with the event-driven clock on and off (DKIP_NO_SKIP) and requires
+## bit-identical statistics; capacity_reuse holds every result the runner
+## reuses from a smaller window or L2 (the Figure 1, 2, 11 and 12 job lists)
+## equal to the job's own simulation.
 golden:
-	DKIP_THREADS=1 cargo test -q -p dkip --test golden_stats --test determinism --test riscv_frontend --test perf_invariance --test skip_equivalence
+	DKIP_THREADS=1 cargo test -q -p dkip --test golden_stats --test determinism --test riscv_frontend --test perf_invariance --test skip_equivalence --test capacity_reuse
 	DKIP_THREADS=8 cargo test -q -p dkip --test golden_stats --test determinism --test riscv_frontend
 
 ## Regenerate the golden snapshots (sampled.golden included) after an
@@ -133,7 +135,10 @@ trace-smoke: build
 ##  1. full golden matrix ("all") cold then warm against one cache=DIR —
 ##     the warm run must recompute zero jobs (expect=warm exits 1
 ##     otherwise) and emit byte-identical output (cmp);
-##  2. same contract for one figure binary (fig09);
+##  2. same contract for two figure binaries: fig09, and fig01, whose
+##     window sweep reuses results across window sizes (a reused result
+##     must be written back and served byte-identically like a computed
+##     one);
 ##  3. a salt perturbation (DKIP_CACHE_SALT) and a budget perturbation must
 ##     both miss the populated store (expect=cold);
 ##  4. dkip-sim serve must answer a repeated sweep query from the cache
@@ -150,6 +155,11 @@ cache-check: build
 	./target/release/fig09_comparison 2000 cache=$(CACHE_CHECK_DIR)/store expect=warm \
 		> $(CACHE_CHECK_DIR)/fig09-warm.txt
 	cmp $(CACHE_CHECK_DIR)/fig09-cold.txt $(CACHE_CHECK_DIR)/fig09-warm.txt
+	./target/release/fig01_window_specint 2000 cache=$(CACHE_CHECK_DIR)/store expect=cold \
+		> $(CACHE_CHECK_DIR)/fig01-cold.txt
+	./target/release/fig01_window_specint 2000 cache=$(CACHE_CHECK_DIR)/store expect=warm \
+		> $(CACHE_CHECK_DIR)/fig01-warm.txt
+	cmp $(CACHE_CHECK_DIR)/fig01-cold.txt $(CACHE_CHECK_DIR)/fig01-warm.txt
 	DKIP_CACHE_SALT=cache-check-perturbation ./target/release/dkip-sim sweep kilo \
 		cache=$(CACHE_CHECK_DIR)/store expect=cold > /dev/null
 	./target/release/dkip-sim sweep kilo budget=3999 \
@@ -167,7 +177,7 @@ cache-check: build
 		{ echo "serve recomputed jobs on a repeated query:"; cat $(CACHE_CHECK_DIR)/query2.status; exit 1; }
 	cmp $(CACHE_CHECK_DIR)/query1.txt $(CACHE_CHECK_DIR)/query2.txt
 	cmp $(CACHE_CHECK_DIR)/query1.txt $(CACHE_CHECK_DIR)/sweep-cold.txt
-	@echo "cache-check: warm runs recompute nothing and are byte-identical; perturbations miss; serve answers from cache"
+	@echo "cache-check: warm runs recompute nothing and are byte-identical; reused results are cached; perturbations miss; serve answers from cache"
 
 ## Chaos campaigns, mirrored by the CI chaos-check job. Fault points are
 ## armed per process via DKIP_FAULTS=<point>:<rate>:<seed> (see

@@ -87,6 +87,13 @@ impl AddressProcessor {
     pub fn mem_stats(&self) -> MemStats {
         self.mem.stats()
     }
+
+    /// Whether the L2 ever evicted a valid line; see
+    /// [`MemoryHierarchy::l2_ever_evicted`].
+    #[must_use]
+    pub fn l2_ever_evicted(&self) -> bool {
+        self.mem.l2_ever_evicted()
+    }
 }
 
 /// The Address Processor is the Cache Processor's memory side, and the

@@ -216,6 +216,20 @@ impl DkipProcessor {
         self.single_step = single_step;
     }
 
+    /// Whether the Cache Processor's dispatch was ever refused for lack of
+    /// room; see [`dkip_ooo::IssueEngine::ever_full`].
+    #[must_use]
+    pub fn ever_full(&self) -> bool {
+        self.engine.ever_full()
+    }
+
+    /// Whether the L2 ever evicted a valid line; see
+    /// [`MemoryHierarchy::l2_ever_evicted`].
+    #[must_use]
+    pub fn l2_ever_evicted(&self) -> bool {
+        self.ap.l2_ever_evicted()
+    }
+
     /// Captures a checkpoint of the complete processor state (all decoupled
     /// engines, caches, predictor, statistics). See [`DkipSnapshot`] for
     /// the contract.

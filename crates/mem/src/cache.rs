@@ -38,6 +38,9 @@ pub struct SetAssocCache {
     set_bits: Option<u32>,
     hits: u64,
     misses: u64,
+    /// Whether a miss has ever dropped a valid line (see
+    /// [`SetAssocCache::ever_evicted`]).
+    evicted: bool,
 }
 
 impl SetAssocCache {
@@ -84,6 +87,7 @@ impl SetAssocCache {
                 .then(|| num_sets.trailing_zeros()),
             hits: 0,
             misses: 0,
+            evicted: false,
         })
     }
 
@@ -119,7 +123,18 @@ impl SetAssocCache {
             }
         }
         self.misses += 1;
+        self.evicted |= carried != 0;
         false
+    }
+
+    /// Whether a miss has ever dropped a valid line. A cache that never
+    /// evicted held every line it was asked for, so a cache with the same
+    /// ways and line size and a multiple of its set count (each of whose
+    /// sets takes the lines of one of these) would have hit and missed on
+    /// exactly the same accesses.
+    #[must_use]
+    pub fn ever_evicted(&self) -> bool {
+        self.evicted
     }
 
     /// Number of sets.
@@ -175,6 +190,7 @@ mod tests {
         tick: u64,
         hits: u64,
         misses: u64,
+        evicted: bool,
     }
 
     impl ReferenceCache {
@@ -185,6 +201,7 @@ mod tests {
                 tick: 0,
                 hits: 0,
                 misses: 0,
+                evicted: false,
             }
         }
 
@@ -221,6 +238,7 @@ mod tests {
                     lru_idx
                 }
             };
+            self.evicted |= set[victim].is_some();
             set[victim] = Some((tag, self.tick));
             false
         }
@@ -273,12 +291,50 @@ mod tests {
             }
             prop_assert_eq!(flat.hits(), reference.hits);
             prop_assert_eq!(flat.misses(), reference.misses);
+            prop_assert_eq!(flat.ever_evicted(), reference.evicted);
             for &(addr, _) in &addrs {
                 prop_assert_eq!(resident(&flat, addr), reference.contains(addr), "{:#x}", addr);
                 let neighbour = addr ^ (1 << 20);
                 prop_assert_eq!(resident(&flat, neighbour), reference.contains(neighbour));
             }
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A cache that never evicted answers every access exactly as a
+        /// cache with a multiple of its set count (and the same ways and
+        /// lines) does: the rule that lets a sweep reuse a small L2's run
+        /// for a larger one.
+        #[test]
+        fn a_cache_that_never_evicted_equals_every_multiple_of_it(
+            num_sets in 1usize..9,
+            factor in 1usize..5,
+            assoc in 1usize..9,
+            stream in proptest::collection::vec(0u64..(1 << 12), 1..60),
+        ) {
+            let mut small = SetAssocCache::new(num_sets * assoc * 64, assoc, 64).unwrap();
+            let mut large =
+                SetAssocCache::new(factor * num_sets * assoc * 64, assoc, 64).unwrap();
+            let small_hits: Vec<bool> = stream.iter().map(|&a| small.access(a, false)).collect();
+            let large_hits: Vec<bool> = stream.iter().map(|&a| large.access(a, false)).collect();
+            if !small.ever_evicted() {
+                prop_assert_eq!(small_hits, large_hits);
+                prop_assert!(!large.ever_evicted());
+            }
+        }
+    }
+
+    #[test]
+    fn an_eviction_is_recorded_only_when_a_valid_line_drops() {
+        let mut cache = SetAssocCache::new(2 * 64, 2, 64).unwrap();
+        cache.access(0x000, false);
+        cache.access(0x040, false);
+        cache.access(0x000, false);
+        assert!(!cache.ever_evicted(), "filling empty ways evicts nothing");
+        cache.access(0x080, false);
+        assert!(cache.ever_evicted());
     }
 
     #[test]

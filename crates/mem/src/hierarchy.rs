@@ -140,6 +140,13 @@ impl MemoryHierarchy {
         self.stats
     }
 
+    /// Whether the L2 has ever evicted a valid line (never, for a perfect
+    /// or absent L2); see [`SetAssocCache::ever_evicted`].
+    #[must_use]
+    pub fn l2_ever_evicted(&self) -> bool {
+        self.l2.as_ref().is_some_and(SetAssocCache::ever_evicted)
+    }
+
     fn line_number(&self, addr: u64) -> u64 {
         addr >> self.config.line_size.trailing_zeros()
     }

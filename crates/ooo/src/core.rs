@@ -170,6 +170,20 @@ impl OooCore {
         self.single_step = single_step;
     }
 
+    /// Whether dispatch was ever refused for lack of room; see
+    /// [`IssueEngine::ever_full`].
+    #[must_use]
+    pub fn ever_full(&self) -> bool {
+        self.engine.ever_full()
+    }
+
+    /// Whether the L2 ever evicted a valid line; see
+    /// [`MemoryHierarchy::l2_ever_evicted`].
+    #[must_use]
+    pub fn l2_ever_evicted(&self) -> bool {
+        self.memory.hierarchy.l2_ever_evicted()
+    }
+
     /// Captures a checkpoint of the complete core state (pipeline, caches,
     /// predictor, statistics). See [`CoreSnapshot`] for the contract.
     ///

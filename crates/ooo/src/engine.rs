@@ -80,6 +80,9 @@ pub struct IssueEngine {
     pub(crate) issue_hist: Option<Histogram>,
     /// Reusable per-cycle selection buffer (see [`IssueQueue::select_into`]).
     issue_scratch: Vec<(u64, OpClass)>,
+    /// Whether dispatch or reinsertion has ever found no room (see
+    /// [`IssueEngine::ever_full`]).
+    ever_full: bool,
 }
 
 impl IssueEngine {
@@ -105,6 +108,7 @@ impl IssueEngine {
                 .collect_issue_histogram
                 .then(|| Histogram::new(20, 2000)),
             issue_scratch: Vec::new(),
+            ever_full: false,
         }
     }
 
@@ -133,6 +137,15 @@ impl IssueEngine {
     #[must_use]
     pub fn wakeup_lists(&self) -> usize {
         self.consumers.len()
+    }
+
+    /// Whether dispatch or reinsertion has ever been refused for lack of
+    /// room: a full ROB, LSQ, issue queue or slow lane. An engine that was
+    /// never refused ran exactly as one with larger structures would have,
+    /// since no other decision reads their capacities.
+    #[must_use]
+    pub fn ever_full(&self) -> bool {
+        self.ever_full
     }
 
     /// Starts a new cycle: refreshes the functional units.
@@ -263,6 +276,7 @@ impl IssueEngine {
             let (class, op_class) = (entry.queue_class, entry.op.class);
             let iq = self.queue(class);
             if !iq.has_space() {
+                self.ever_full = true;
                 break;
             }
             iq.insert(seq, op_class, true);
@@ -371,9 +385,11 @@ impl IssueEngine {
             };
             if !self.rob.has_space() {
                 stats.rob_full_stall_cycles += 1;
+                self.ever_full = true;
                 break;
             }
             if op.class.is_mem() && !mem.lsq_mut().has_space() {
+                self.ever_full = true;
                 break;
             }
             let queue_class = op.queue_class();
@@ -405,6 +421,7 @@ impl IssueEngine {
                 self.queue(queue_class).has_space()
             };
             if !has_room {
+                self.ever_full = true;
                 break;
             }
 

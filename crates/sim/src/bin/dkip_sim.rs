@@ -175,7 +175,7 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
     let mut slots: Vec<Option<JobResult>> = vec![None; shard_jobs.len()];
     let mut pending: Vec<usize> = (0..shard_jobs.len()).collect();
     let mut failures: Vec<JobFailure> = Vec::new();
-    let (mut hits, mut misses, mut uncacheable) = (0u64, 0u64, 0u64);
+    let (mut hits, mut misses, mut uncacheable, mut reused) = (0u64, 0u64, 0u64, 0u64);
     let mut backoff = Duration::from_millis(200);
     for round in 0..=retries {
         if pending.is_empty() {
@@ -209,6 +209,7 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
         hits += report.hits;
         misses += report.misses;
         uncacheable += report.uncacheable;
+        reused += report.reused;
         let failed: std::collections::BTreeSet<usize> =
             report.failures.iter().map(|f| f.index).collect();
         let mut results = report.results.into_iter();
@@ -234,7 +235,7 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
     print!("{}", results_to_kv(&results));
     eprintln!(
         "# sweep {suite}: jobs={} hits={hits} misses={misses} uncacheable={uncacheable} \
-         resumed={resumed} failures={}",
+         resumed={resumed} failures={} reused={reused}",
         results.len(),
         failures.len(),
     );

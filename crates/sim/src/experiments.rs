@@ -170,6 +170,21 @@ pub fn figure_window_scaling(
         "window",
         "average IPC (arith. mean)",
     );
+    fig.series = window_scaling_sweep(benchmarks, windows, budget).into_series(runner);
+    fig
+}
+
+/// The job list [`figure_window_scaling`] runs, in its order.
+#[must_use]
+pub fn figure_window_scaling_jobs(
+    benchmarks: &[Benchmark],
+    windows: &[usize],
+    budget: u64,
+) -> Vec<Job> {
+    window_scaling_sweep(benchmarks, windows, budget).jobs
+}
+
+fn window_scaling_sweep(benchmarks: &[Benchmark], windows: &[usize], budget: u64) -> SweepBuilder {
     let mut sweep = SweepBuilder::new();
     for mem_cfg in MemoryHierarchyConfig::table1_presets() {
         for &window in windows {
@@ -184,8 +199,7 @@ pub fn figure_window_scaling(
             );
         }
     }
-    fig.series = sweep.into_series(runner);
-    fig
+    sweep
 }
 
 /// Figure 3: the decode→issue distance distribution on an effectively
@@ -356,6 +370,21 @@ pub fn figure_cache_sweep(
         "config",
         "IPC",
     );
+    fig.series = cache_sweep(benchmarks, l2_sizes_kb, budget).into_series(runner);
+    fig
+}
+
+/// The job list [`figure_cache_sweep`] runs, in its order.
+#[must_use]
+pub fn figure_cache_sweep_jobs(
+    benchmarks: &[Benchmark],
+    l2_sizes_kb: &[usize],
+    budget: u64,
+) -> Vec<Job> {
+    cache_sweep(benchmarks, l2_sizes_kb, budget).jobs
+}
+
+fn cache_sweep(benchmarks: &[Benchmark], l2_sizes_kb: &[usize], budget: u64) -> SweepBuilder {
     let mut sweep = SweepBuilder::new();
     for &kb in l2_sizes_kb {
         let mem = MemoryHierarchyConfig::mem_400().with_l2_kb(kb);
@@ -371,8 +400,7 @@ pub fn figure_cache_sweep(
             );
         }
     }
-    fig.series = sweep.into_series(runner);
-    fig
+    sweep
 }
 
 /// The kernel runs compared by the RISC-V IPC figure: every shipped kernel

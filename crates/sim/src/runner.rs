@@ -7,30 +7,57 @@
 //! `std::thread::scope`, so figure regeneration scales with the host's
 //! cores while the results stay byte-identical to a serial run:
 //!
-//! * jobs are claimed from a shared atomic cursor, so scheduling is dynamic,
+//! * one scheduler hands out jobs, on the caller's thread when the pool has
+//!   one worker: a worker takes the lowest-index unstarted job that no
+//!   unfinished smaller-capacity job of its group could stand for, and the
+//!   lowest-index unstarted job when every one waits on such a job, so no
+//!   worker idles while work remains,
 //! * results are written back into the slot of the job that produced them,
 //!   so the output order is the input order regardless of which worker
 //!   finished first,
 //! * each [`JobResult`] carries the job's wall-clock time so throughput can
 //!   be reported without affecting the simulated statistics.
 //!
+//! **Capacity reuse.** A capacity that a run never filled cannot have
+//! changed it, so every larger one gives the same trajectory (the argument
+//! behind Mattson et al.'s stack algorithms, IBM Systems Journal 1970).
+//! Before it simulates an exact, unprobed job, a worker looks for a
+//! finished *donor* in the same sweep and, if one covers the job, gives the
+//! job the donor's statistics. Donor D covers job J when:
+//!
+//! * their key texts ([`Job::key_text`]) are equal once the baseline core's
+//!   capacities (ROB, both issue queues, LSQ) and name, the L2 size and the
+//!   memory name are erased (jobs are grouped by a 128-bit digest of that
+//!   text);
+//! * each of D's erased capacities is at most J's;
+//! * if a core capacity differs, D's core never refused dispatch or
+//!   reinsertion for lack of room (`dkip_ooo::IssueEngine::ever_full`);
+//! * if the L2 size differs, J's L2 set count is a multiple of D's and D's
+//!   L2 never evicted a valid line (`dkip_mem::MemoryHierarchy::l2_ever_evicted`);
+//! * D succeeded.
+//!
+//! A reused job counts as a miss, is written to an attached store like a
+//! computed one, and reaches the observer like any finished job; its `wall`
+//! is zero, as for a cache hit. `tests/capacity_reuse.rs` holds every reused
+//! result equal to a full simulation.
+//!
 //! The thread count comes from [`SweepRunner::from_env`] (the `DKIP_THREADS`
 //! environment variable, defaulting to the available parallelism) or is set
-//! explicitly with [`SweepRunner::new`]; `SweepRunner::new(1)` degrades to a
-//! plain serial loop on the caller's thread.
+//! explicitly with [`SweepRunner::new`].
 //!
 //! Jobs are failure-isolated: each one runs under `catch_unwind`, so a
 //! panicking simulation point becomes a recorded [`JobFailure`] in the
 //! [`SweepReport`] instead of aborting the whole sweep (see the
 //! [`crate::chaos`] fault points that exercise this continuously).
 
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::chaos::{self, FaultPoint};
-use crate::store::{ResultStore, StoredResult};
+use crate::store::ResultStore;
 use crate::workload::{Workload, WorkloadStream};
 use dkip_core::DkipProcessor;
 use dkip_kilo::build_kilo_core;
@@ -39,8 +66,8 @@ use dkip_model::config::{
     event_clock_enabled, BaselineConfig, DkipConfig, KiloConfig, MemoryHierarchyConfig,
 };
 use dkip_model::{
-    drive, KeyWriter, MetricsConfig, MicroOp, NoProbe, Probe, SampleConfig, SimCore, SimStats,
-    StableKey, Telemetry,
+    drive, fnv1a_128, KeyWriter, MetricsConfig, MicroOp, NoProbe, Probe, SampleConfig, SimCore,
+    SimStats, StableKey, Telemetry,
 };
 use dkip_ooo::OooCore;
 
@@ -170,6 +197,25 @@ impl Core {
         match self {
             Core::Ooo(core) => core.cycle(),
             Core::Dkip(proc_) => proc_.cycle(),
+        }
+    }
+
+    /// Whether the core ever refused dispatch or reinsertion for lack of
+    /// room (a full ROB, LSQ, issue queue or slow lane).
+    #[must_use]
+    pub fn ever_full(&self) -> bool {
+        match self {
+            Core::Ooo(core) => core.ever_full(),
+            Core::Dkip(proc_) => proc_.ever_full(),
+        }
+    }
+
+    /// Whether the core's L2 ever evicted a valid line.
+    #[must_use]
+    pub fn l2_ever_evicted(&self) -> bool {
+        match self {
+            Core::Ooo(core) => core.l2_ever_evicted(),
+            Core::Dkip(proc_) => proc_.l2_ever_evicted(),
         }
     }
 
@@ -338,11 +384,11 @@ impl Job {
         self.metrics.is_none()
     }
 
-    /// Builds the [`JobResult`] for a cache hit. The statistics are the
-    /// verified stored document; `wall` is zero because no simulation
-    /// happened (it is metadata, excluded from every serialisation).
-    #[must_use]
-    fn result_from_cache(&self, stored: StoredResult) -> JobResult {
+    /// Builds this job's [`JobResult`] around `stats`. A result the job did
+    /// not simulate (a cache hit's verified stored document, or a capacity
+    /// donor's statistics) has a zero `wall`: it is metadata, excluded from
+    /// every serialisation.
+    fn result(&self, stats: SimStats, covered: u64, wall: Duration) -> JobResult {
         JobResult {
             label: self.label.clone(),
             machine_name: self.machine.name().to_owned(),
@@ -352,10 +398,43 @@ impl Job {
             seed: self.seed,
             budget: self.budget,
             sample: self.sample,
-            stats: stored.stats,
-            covered: stored.covered,
-            wall: Duration::ZERO,
+            stats,
+            covered,
+            wall,
         }
+    }
+
+    /// This job's place in capacity reuse (see the module docs), or `None`
+    /// for a sampled or metrics-probed job, which takes no part.
+    fn capacities(&self) -> Option<Capacities> {
+        if self.sample.is_some() || self.metrics.is_some() {
+            return None;
+        }
+        let mut erased = self.clone();
+        let core = match &mut erased.machine {
+            Machine::Baseline(cfg) => {
+                cfg.name.clear();
+                [
+                    &mut cfg.rob_capacity,
+                    &mut cfg.int_iq_capacity,
+                    &mut cfg.fp_iq_capacity,
+                    &mut cfg.lsq_capacity,
+                ]
+                .map(std::mem::take)
+            }
+            Machine::Kilo(_) | Machine::Dkip(_) => [0; 4],
+        };
+        erased.mem.name.clear();
+        let l2_sets = erased
+            .mem
+            .l2_size
+            .as_mut()
+            .map(|bytes| std::mem::take(bytes) / (self.mem.line_size * self.mem.l2_assoc));
+        Some(Capacities {
+            group: fnv1a_128(erased.key_text().as_bytes()),
+            core,
+            l2_sets,
+        })
     }
 
     /// One-line human description of the simulation point (family,
@@ -411,6 +490,12 @@ impl Job {
     /// fast-forwarded gaps of a sampled run have no cycle-accurate state to
     /// report): that is a configuration error, not a runtime fault.
     pub fn try_run(&self) -> Result<JobResult, String> {
+        self.execute().map(|(result, _)| result)
+    }
+
+    /// [`Job::try_run`], plus what an exact, unprobed run leaves for
+    /// capacity reuse (`None` for the other runs, which cannot donate).
+    fn execute(&self) -> Result<(JobResult, Option<Fill>), String> {
         let start = Instant::now();
         assert!(
             self.sample.is_none() || self.metrics.is_none(),
@@ -423,32 +508,33 @@ impl Job {
                 self.label
             );
         }
-        let (stats, covered) = match &self.sample {
+        let (stats, covered, fill) = match &self.sample {
             None => {
-                let stats = match &self.metrics {
+                let mut stream = self.workload.stream(self.seed);
+                let mut core = self.machine.build(&self.mem);
+                let (stats, fill) = match &self.metrics {
                     None => {
-                        self.machine
-                            .simulate(&self.mem, &self.workload, self.budget, self.seed)
+                        let stats = core.run(&mut stream, self.budget, &mut NoProbe);
+                        let fill = Fill {
+                            core_full: core.ever_full(),
+                            l2_evicted: core.l2_ever_evicted(),
+                        };
+                        (stats, Some(fill))
                     }
                     Some(metrics) => {
                         let per_job = metrics.for_job(&self.metrics_tag());
                         let mut telemetry = Telemetry::from_configs(Some(&per_job), None);
-                        let mut stream = self.workload.stream(self.seed);
-                        let stats = self.machine.build(&self.mem).run(
-                            &mut stream,
-                            self.budget,
-                            &mut telemetry,
-                        );
+                        let stats = core.run(&mut stream, self.budget, &mut telemetry);
                         match chaos::fail_io(FaultPoint::MetricsWrite) {
                             Some(injected) => Err(injected),
                             None => telemetry.write_files(),
                         }
                         .map_err(|e| format!("cannot write {per_job}: {e}"))?;
-                        stats
+                        (stats, None)
                     }
                 };
                 let covered = stats.committed;
-                (stats, covered)
+                (stats, covered, fill)
             }
             Some(sample) => {
                 let mut stream = self.workload.stream(self.seed);
@@ -459,22 +545,55 @@ impl Job {
                     self.budget,
                     sample,
                 );
-                (run.to_stats(), run.consumed())
+                (run.to_stats(), run.consumed(), None)
             }
         };
-        Ok(JobResult {
-            label: self.label.clone(),
-            machine_name: self.machine.name().to_owned(),
-            family: self.machine.family(),
-            mem_name: self.mem.name.clone(),
-            workload: self.workload,
-            seed: self.seed,
-            budget: self.budget,
-            sample: self.sample,
-            stats,
-            covered,
-            wall: start.elapsed(),
-        })
+        Ok((self.result(stats, covered, start.elapsed()), fill))
+    }
+}
+
+/// What a finished exact run leaves for capacity reuse, read from its
+/// [`Core`] after the run and never part of [`SimStats`].
+#[derive(Debug, Clone, Copy)]
+struct Fill {
+    /// The core refused dispatch or reinsertion for lack of room.
+    core_full: bool,
+    /// The L2 evicted a valid line.
+    l2_evicted: bool,
+}
+
+/// A job's place in capacity reuse: its group (the digest of its key text
+/// with the reusable capacities erased) and those capacities.
+#[derive(Debug, Clone, PartialEq)]
+struct Capacities {
+    group: u128,
+    /// The baseline core's ROB, integer and FP issue queue and LSQ
+    /// capacities; zero for the other families, whose stay in the key.
+    core: [usize; 4],
+    /// The L2 set count, `None` for a perfect or absent L2.
+    l2_sets: Option<usize>,
+}
+
+impl Capacities {
+    /// Whether a run at `self` may stand for one at `other`: the same
+    /// group, no capacity larger, and an L2 set count that divides
+    /// `other`'s.
+    fn below(&self, other: &Capacities) -> bool {
+        self.group == other.group
+            && self.core.iter().zip(&other.core).all(|(a, b)| a <= b)
+            && match (self.l2_sets, other.l2_sets) {
+                (Some(mine), Some(theirs)) => theirs % mine == 0,
+                (mine, theirs) => mine == theirs,
+            }
+    }
+
+    /// Whether a finished run at `self` that left `fill` gives a job at
+    /// `other` exactly the same statistics: every capacity that differs
+    /// was never filled.
+    fn covers(&self, fill: Fill, other: &Capacities) -> bool {
+        self.below(other)
+            && (self.core == other.core || !fill.core_full)
+            && (self.l2_sets == other.l2_sets || !fill.l2_evicted)
     }
 }
 
@@ -616,9 +735,13 @@ pub struct SweepReport {
     pub results: Vec<JobResult>,
     /// Jobs served from the result store without simulating.
     pub hits: u64,
-    /// Jobs that were simulated: cache misses (recomputed and written back)
-    /// when a store is attached, every job otherwise.
+    /// Jobs not served from the result store: cache misses (computed and
+    /// written back) when a store is attached, every job otherwise. Reused
+    /// jobs are among them.
     pub misses: u64,
+    /// Jobs given a finished donor's statistics without simulating
+    /// (capacity reuse, see the module docs); counted in `misses` too.
+    pub reused: u64,
     /// Jobs excluded from caching (metrics-probed, see [`Job::cacheable`]).
     pub uncacheable: u64,
     /// Jobs that panicked or failed recoverably, sorted by job index.
@@ -666,14 +789,17 @@ pub type JobObserver<'a> = &'a (dyn Fn(usize, &JobResult) + Sync);
 
 /// A fixed-size worker pool that runs a [`Job`] list to completion.
 ///
-/// Scheduling is dynamic (workers claim the next unstarted job), but the
-/// result vector is ordered by job index, so the output — and therefore any
-/// golden serialisation derived from it — is identical for every thread
-/// count. When a [`ResultStore`] is attached ([`SweepRunner::with_store`] or
-/// the `DKIP_CACHE` environment variable via [`SweepRunner::from_env`]),
-/// each cacheable job is looked up before simulating and written back on a
-/// miss; because stored entries are verified byte-for-byte on load, a hit
-/// is byte-identical to a recompute, preserving the thread-count invariant.
+/// Scheduling is dynamic (workers claim unstarted jobs from one scheduler,
+/// smaller capacities of a reuse group first), but the result vector is
+/// ordered by job index, so the output — and therefore any golden
+/// serialisation derived from it — is identical for every thread count.
+/// When a [`ResultStore`] is attached ([`SweepRunner::with_store`] or the
+/// `DKIP_CACHE` environment variable via [`SweepRunner::from_env`]), each
+/// cacheable job is looked up before simulating and written back on a miss;
+/// because stored entries are verified byte-for-byte on load, a hit is
+/// byte-identical to a recompute, preserving the thread-count invariant.
+/// A job that a finished donor covers is not simulated at all (see the
+/// module docs).
 #[derive(Debug, Clone)]
 pub struct SweepRunner {
     threads: usize,
@@ -801,103 +927,245 @@ impl SweepRunner {
         jobs: &[Job],
         on_done: Option<JobObserver<'_>>,
     ) -> SweepReport {
-        let hits = AtomicU64::new(0);
-        let misses = AtomicU64::new(0);
-        let uncacheable = AtomicU64::new(0);
-        let failures: Mutex<Vec<JobFailure>> = Mutex::new(Vec::new());
-        let execute = |idx: usize, job: &Job| -> Option<JobResult> {
-            let attempt = catch_unwind(AssertUnwindSafe(|| -> Result<JobResult, String> {
-                match (&self.store, job.cacheable()) {
-                    (Some(store), true) => {
-                        let key = store.key_for_text(&job.key_text());
-                        match store.lookup(&key) {
-                            Some(stored) => {
-                                hits.fetch_add(1, Ordering::Relaxed);
-                                Ok(job.result_from_cache(stored))
-                            }
-                            None => {
-                                misses.fetch_add(1, Ordering::Relaxed);
-                                let result = job.try_run()?;
-                                // A failed write is not a job failure: the
-                                // result is correct, only uncached. The
-                                // store retries, then logs its own
-                                // degradation notice once.
-                                let _ = store.insert(&key, &result.stats, result.covered);
-                                Ok(result)
-                            }
-                        }
-                    }
-                    (store, _) => {
-                        if store.is_some() {
-                            uncacheable.fetch_add(1, Ordering::Relaxed);
-                        } else {
-                            misses.fetch_add(1, Ordering::Relaxed);
-                        }
-                        job.try_run()
-                    }
-                }
+        let plan = Plan::new(jobs);
+        let board = Mutex::new(Board::new(jobs.len()));
+        let tally = Tally::default();
+        let work = || loop {
+            let Some(idx) = board.lock().expect("runner poisoned").claim(&plan) else {
+                break;
+            };
+            let job = &jobs[idx];
+            let attempt = catch_unwind(AssertUnwindSafe(|| {
+                self.settle(idx, job, &plan, &board, &tally)
             }));
             let message = match attempt {
-                Ok(Ok(result)) => {
+                Ok(Ok((result, fill))) => {
                     if let Some(observe) = on_done {
                         observe(idx, &result);
                     }
-                    return Some(result);
+                    let mut board = board.lock().expect("runner poisoned");
+                    board.slots[idx] = Slot::Done(fill);
+                    board.results[idx] = Some(result);
+                    continue;
                 }
                 Ok(Err(message)) => message,
                 Err(payload) => format!("panicked: {}", chaos::panic_message(payload.as_ref())),
             };
-            failures.lock().expect("runner poisoned").push(JobFailure {
+            let mut board = board.lock().expect("runner poisoned");
+            board.slots[idx] = Slot::Done(None);
+            board.failures.push(JobFailure {
                 index: idx,
                 label: job.label.clone(),
                 job: job.describe(),
                 message,
             });
-            None
         };
-        let results = if jobs.is_empty() {
-            Vec::new()
-        } else if self.threads == 1 || jobs.len() == 1 {
-            jobs.iter()
-                .enumerate()
-                .filter_map(|(idx, job)| execute(idx, job))
-                .collect()
+        let workers = self.threads.min(jobs.len());
+        if workers <= 1 {
+            work();
         } else {
-            let cursor = AtomicUsize::new(0);
-            let slots: Mutex<Vec<Option<JobResult>>> =
-                Mutex::new((0..jobs.len()).map(|_| None).collect());
             std::thread::scope(|scope| {
-                for _ in 0..self.threads.min(jobs.len()) {
-                    scope.spawn(|| loop {
-                        let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(job) = jobs.get(idx) else { break };
-                        let result = execute(idx, job);
-                        slots.lock().expect("runner poisoned")[idx] = result;
-                    });
+                for _ in 0..workers {
+                    scope.spawn(work);
                 }
             });
-            slots
-                .into_inner()
-                .expect("runner poisoned")
-                .into_iter()
-                .flatten()
-                .collect()
-        };
-        let mut failures = failures.into_inner().expect("runner poisoned");
+        }
+        let Board {
+            results,
+            mut failures,
+            ..
+        } = board.into_inner().expect("runner poisoned");
         failures.sort_by_key(|f| f.index);
         SweepReport {
-            results,
-            hits: hits.into_inner(),
-            misses: misses.into_inner(),
-            uncacheable: uncacheable.into_inner(),
+            results: results.into_iter().flatten().collect(),
+            hits: tally.hits.into_inner(),
+            misses: tally.misses.into_inner(),
+            reused: tally.reused.into_inner(),
+            uncacheable: tally.uncacheable.into_inner(),
             failures,
         }
+    }
+
+    /// Settles one claimed job: a store hit, else a donor's statistics,
+    /// else a simulation; a miss is written back to the store.
+    fn settle(
+        &self,
+        idx: usize,
+        job: &Job,
+        plan: &Plan,
+        board: &Mutex<Board>,
+        tally: &Tally,
+    ) -> Result<(JobResult, Option<Fill>), String> {
+        let store = match (&self.store, job.cacheable()) {
+            (Some(store), true) => {
+                let key = store.key_for_text(&job.key_text());
+                if let Some(stored) = store.lookup(&key) {
+                    tally.hits.fetch_add(1, Ordering::Relaxed);
+                    let result = job.result(stored.stats, stored.covered, Duration::ZERO);
+                    return Ok((result, None));
+                }
+                tally.misses.fetch_add(1, Ordering::Relaxed);
+                Some((store, key))
+            }
+            (Some(_), false) => {
+                tally.uncacheable.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+            (None, _) => {
+                tally.misses.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+        };
+        let donated = board
+            .lock()
+            .expect("runner poisoned")
+            .donor_for(plan, idx)
+            .map(|(donor, fill)| {
+                let result = job.result(donor.stats.clone(), donor.covered, Duration::ZERO);
+                (result, Some(fill))
+            });
+        let done = match donated {
+            Some(done) => {
+                tally.reused.fetch_add(1, Ordering::Relaxed);
+                done
+            }
+            None => job.execute()?,
+        };
+        if let Some((store, key)) = store {
+            // A failed write is not a job failure: the result is correct,
+            // only uncached. The store retries, then logs its own
+            // degradation notice once.
+            let _ = store.insert(&key, &done.0.stats, done.0.covered);
+        }
+        Ok(done)
     }
 
     /// Convenience: runs the jobs and returns only the ordered statistics.
     #[must_use]
     pub fn run_stats(&self, jobs: &[Job]) -> Vec<SimStats> {
         self.run(jobs).into_iter().map(|r| r.stats).collect()
+    }
+}
+
+/// One sweep's cache and reuse counters (see [`SweepReport`]).
+#[derive(Debug, Default)]
+struct Tally {
+    hits: AtomicU64,
+    misses: AtomicU64,
+    reused: AtomicU64,
+    uncacheable: AtomicU64,
+}
+
+/// The reuse groups of one job list, fixed before the first job starts.
+struct Plan {
+    capacities: Vec<Option<Capacities>>,
+    /// The jobs of each group, in job order.
+    groups: Vec<Vec<usize>>,
+    /// Each job's group, `None` for a job that takes no part.
+    group_of: Vec<Option<usize>>,
+}
+
+impl Plan {
+    fn new(jobs: &[Job]) -> Self {
+        let capacities: Vec<Option<Capacities>> = jobs.iter().map(Job::capacities).collect();
+        let mut index: HashMap<u128, usize> = HashMap::new();
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        let group_of = capacities
+            .iter()
+            .enumerate()
+            .map(|(idx, caps)| {
+                let caps = caps.as_ref()?;
+                let group = *index.entry(caps.group).or_insert_with(|| {
+                    groups.push(Vec::new());
+                    groups.len() - 1
+                });
+                groups[group].push(idx);
+                Some(group)
+            })
+            .collect();
+        Plan {
+            capacities,
+            groups,
+            group_of,
+        }
+    }
+
+    /// The other jobs of `idx`'s group whose runs could stand for its run,
+    /// each with both jobs' capacities.
+    fn candidates(&self, idx: usize) -> impl Iterator<Item = (usize, &Capacities, &Capacities)> {
+        let mine = self.capacities[idx].as_ref();
+        let members = self.group_of[idx].map_or(&[][..], |g| &self.groups[g][..]);
+        members.iter().filter_map(move |&other| {
+            let (mine, theirs) = (mine?, self.capacities[other].as_ref()?);
+            (other != idx && theirs.below(mine)).then_some((other, theirs, mine))
+        })
+    }
+
+    /// The jobs `idx` waits for before it is claimed: its candidates,
+    /// where of two with equal capacities the lower index goes first.
+    fn blockers(&self, idx: usize) -> impl Iterator<Item = usize> + '_ {
+        self.candidates(idx)
+            .filter(move |&(other, theirs, mine)| other < idx || !mine.below(theirs))
+            .map(|(other, _, _)| other)
+    }
+}
+
+/// The state of one job on the [`Board`].
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    Unstarted,
+    Running,
+    /// Finished, with what its run left for reuse: `None` when it failed
+    /// or cannot donate.
+    Done(Option<Fill>),
+}
+
+/// The scheduler of one sweep, shared by its workers under a mutex.
+struct Board {
+    slots: Vec<Slot>,
+    /// The result of every job that succeeded, by job index.
+    results: Vec<Option<JobResult>>,
+    /// Every job below this index has started.
+    started: usize,
+    failures: Vec<JobFailure>,
+}
+
+impl Board {
+    fn new(jobs: usize) -> Self {
+        Board {
+            slots: vec![Slot::Unstarted; jobs],
+            results: (0..jobs).map(|_| None).collect(),
+            started: 0,
+            failures: Vec::new(),
+        }
+    }
+
+    /// Claims the lowest-index unstarted job whose smaller-capacity jobs
+    /// have all finished, or, when every unstarted job still waits on one,
+    /// the lowest-index unstarted job: no worker idles while work remains.
+    fn claim(&mut self, plan: &Plan) -> Option<usize> {
+        let slots = &self.slots;
+        let unstarted = |idx: &usize| matches!(slots[*idx], Slot::Unstarted);
+        let first = (self.started..slots.len()).find(unstarted)?;
+        self.started = first;
+        let ready = (first..slots.len()).filter(unstarted).find(|&idx| {
+            plan.blockers(idx)
+                .all(|other| matches!(slots[other], Slot::Done(_)))
+        });
+        let idx = ready.unwrap_or(first);
+        self.slots[idx] = Slot::Running;
+        Some(idx)
+    }
+
+    /// A finished job whose run covers job `idx`, with what that run left.
+    fn donor_for(&self, plan: &Plan, idx: usize) -> Option<(&JobResult, Fill)> {
+        plan.candidates(idx).find_map(|(other, theirs, mine)| {
+            let Slot::Done(Some(fill)) = self.slots[other] else {
+                return None;
+            };
+            let result = self.results[other].as_ref()?;
+            theirs.covers(fill, mine).then_some((result, fill))
+        })
     }
 }
 
