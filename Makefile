@@ -235,8 +235,9 @@ chaos-check: build
 ## dkip-ooo (the shared front end, the shared issue engine's wakeup and
 ## select protocol, and the event-clock checks), dkip-mem (the flat cache
 ## against its reference model) and dkip-core (the D-KIP's wakeup tables,
-## the issue engine's and the low-locality side's, stay bounded by what is
-## in flight, which keeps sampled runs cheap). So do the
+## the issue engine's and the one Memory Processor wakeup table of the
+## low-locality side, stay bounded by what is in flight, which keeps
+## sampled runs cheap). So do the
 ## functional-warming checks: the dkip-bpred, dkip-riscv and dkip-trace
 ## unit tests (one-pass perceptron training equals predict+update;
 ## warm_forward reports what the skipped ops carry) and the dkip-sim test

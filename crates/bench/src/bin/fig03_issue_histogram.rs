@@ -4,7 +4,7 @@ use dkip_bench::FigureArgs;
 use dkip_sim::experiments::figure3_issue_histogram;
 use dkip_trace::Suite;
 fn main() {
-    let args = FigureArgs::from_env();
+    let args = FigureArgs::from_env_exact(dkip_bench::ISSUE_HISTOGRAM_READS);
     let runner = args.runner();
     let hist = figure3_issue_histogram(
         &args.benchmarks(Suite::Fp),

@@ -3,7 +3,7 @@ use dkip_bench::FigureArgs;
 use dkip_sim::experiments::figure_llib_occupancy;
 use dkip_trace::Suite;
 fn main() {
-    let args = FigureArgs::from_env();
+    let args = FigureArgs::from_env_exact(dkip_bench::LLIB_OCCUPANCY_READS);
     let runner = args.runner();
     let fig = figure_llib_occupancy(
         Suite::Int,

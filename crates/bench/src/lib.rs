@@ -16,7 +16,9 @@
 //!   `DKIP_THREADS` environment variable, then the host's available
 //!   parallelism), `sample=P:U:W` to regenerate the figure under
 //!   sampled simulation at that `period:warmup:window` rate (default: the
-//!   `DKIP_SAMPLE` environment variable, then exact simulation),
+//!   `DKIP_SAMPLE` environment variable, then exact simulation; Figures 3,
+//!   13 and 14 refuse both, as a sampled run keeps only `committed` and
+//!   `cycles`),
 //!   `metrics=PATH:INTERVAL` to collect an interval-metrics time series
 //!   per job alongside the figure (default: the `DKIP_METRICS` environment
 //!   variable, then no telemetry), `cache=DIR` to serve/populate the
@@ -48,6 +50,13 @@ use dkip_trace::{Benchmark, Suite};
 
 /// Default per-benchmark instruction budget for the figure binaries.
 pub const DEFAULT_BUDGET: u64 = 10_000;
+
+/// What Figure 3 reads: passed to [`FigureArgs::from_env_exact`].
+pub const ISSUE_HISTOGRAM_READS: &str = "the decode-to-issue histogram (issue_latency)";
+
+/// What Figures 13 and 14 read: passed to [`FigureArgs::from_env_exact`].
+pub const LLIB_OCCUPANCY_READS: &str =
+    "the peak LLIB occupancy (llib_*_peak_instrs and llrf_*_peak_regs)";
 
 /// Parsed command line of a figure binary.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -118,6 +127,37 @@ impl FigureArgs {
                 eprintln!("{message}");
                 std::process::exit(2);
             }
+        }
+    }
+
+    /// [`from_env`](Self::from_env) for a figure that reads statistics
+    /// other than `committed` and `cycles`, the only two a sampled run
+    /// keeps: exits with status 2 when `sample=` or `DKIP_SAMPLE` asks for
+    /// sampled simulation, rather than print zeros. `reads` names the
+    /// statistics in the message.
+    #[must_use]
+    pub fn from_env_exact(reads: &str) -> Self {
+        let args = Self::from_env();
+        if let Err(message) = args.require_exact(reads, SampleConfig::from_env()) {
+            eprintln!("{message}");
+            std::process::exit(2);
+        }
+        args
+    }
+
+    /// Refuses sampled simulation, asked for by `sample=` or by `env` (the
+    /// parsed `DKIP_SAMPLE`), for a figure that reads `reads`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming `reads` when either asks for sampling.
+    pub fn require_exact(&self, reads: &str, env: Option<SampleConfig>) -> Result<(), String> {
+        match self.sample.or(env) {
+            None => Ok(()),
+            Some(rate) => Err(format!(
+                "sampling ({rate}) is not supported by this figure: it reads {reads}, and a \
+                 sampled run keeps only committed and cycles; unset sample= and {SAMPLE_ENV}"
+            )),
         }
     }
 
@@ -550,6 +590,25 @@ mod tests {
     fn sweep_binaries_reject_pipeline_traces() {
         let err = parse(&["trace=out.trace"]).unwrap_err();
         assert!(err.contains("fig_timeseries"), "{err}");
+    }
+
+    #[test]
+    fn figures_reading_more_than_ipc_refuse_sampling() {
+        let rate = SampleConfig::parse("20000:2000:4000").unwrap();
+        let sampled = parse(&["5000", "sample=20000:2000:4000"]).unwrap();
+        let exact = parse(&["5000"]).unwrap();
+        // Figures 3, 13 and 14 refuse a rate from the command line or from
+        // DKIP_SAMPLE, naming what they read.
+        for reads in [ISSUE_HISTOGRAM_READS, LLIB_OCCUPANCY_READS] {
+            for (args, env) in [(&sampled, None), (&exact, Some(rate))] {
+                let err = args.require_exact(reads, env).unwrap_err();
+                assert!(err.contains(reads) && err.contains(SAMPLE_ENV), "{err}");
+            }
+            assert_eq!(exact.require_exact(reads, None), Ok(()));
+        }
+        // Every other figure binary parses through plain `from_env`, which
+        // keeps the rate.
+        assert_eq!(sampled.sample, Some(rate));
     }
 
     fn parse_ts(args: &[&str]) -> Result<TimeseriesArgs, String> {

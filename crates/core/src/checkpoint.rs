@@ -10,13 +10,11 @@
 
 use std::collections::VecDeque;
 
-/// One checkpoint epoch: the sequence number at which the checkpoint was
-/// taken and how many of its low-locality instructions are still
-/// outstanding.
+/// One checkpoint epoch: its id and how many of its low-locality
+/// instructions are still outstanding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Epoch {
     id: u64,
-    taken_at_seq: u64,
     outstanding: u64,
 }
 
@@ -84,20 +82,16 @@ impl CheckpointStack {
         self.epochs.back().map(|e| e.id)
     }
 
-    /// Takes a checkpoint at instruction `seq`, returning its epoch id, or
-    /// `None` if the stack is full (the Analyze stage must stall).
-    pub fn take(&mut self, seq: u64) -> Option<u64> {
+    /// Takes a checkpoint, returning its epoch id, or `None` if the stack
+    /// is full (the Analyze stage must stall).
+    pub fn take(&mut self) -> Option<u64> {
         if !self.has_space() {
             return None;
         }
         let id = self.next_id;
         self.next_id += 1;
         self.taken += 1;
-        self.epochs.push_back(Epoch {
-            id,
-            taken_at_seq: seq,
-            outstanding: 0,
-        });
+        self.epochs.push_back(Epoch { id, outstanding: 0 });
         Some(id)
     }
 
@@ -128,12 +122,6 @@ impl CheckpointStack {
     pub fn recover(&mut self) {
         self.recoveries += 1;
     }
-
-    /// The sequence number at which the oldest live checkpoint was taken.
-    #[must_use]
-    pub fn oldest_seq(&self) -> Option<u64> {
-        self.epochs.front().map(|e| e.taken_at_seq)
-    }
 }
 
 #[cfg(test)]
@@ -143,10 +131,10 @@ mod tests {
     #[test]
     fn take_register_complete_releases_drained_epochs() {
         let mut stack = CheckpointStack::new(4);
-        let e0 = stack.take(100).unwrap();
+        let e0 = stack.take().unwrap();
         stack.register_instruction(e0);
         stack.register_instruction(e0);
-        let e1 = stack.take(200).unwrap();
+        let e1 = stack.take().unwrap();
         stack.register_instruction(e1);
         assert_eq!(stack.len(), 2);
 
@@ -168,7 +156,7 @@ mod tests {
     #[test]
     fn the_last_checkpoint_is_never_released() {
         let mut stack = CheckpointStack::new(2);
-        let e0 = stack.take(10).unwrap();
+        let e0 = stack.take().unwrap();
         stack.register_instruction(e0);
         stack.complete_instruction(e0);
         assert_eq!(
@@ -181,9 +169,9 @@ mod tests {
     #[test]
     fn full_stack_refuses_new_checkpoints() {
         let mut stack = CheckpointStack::new(2);
-        assert!(stack.take(1).is_some());
-        assert!(stack.take(2).is_some());
-        assert!(stack.take(3).is_none());
+        assert!(stack.take().is_some());
+        assert!(stack.take().is_some());
+        assert!(stack.take().is_none());
         assert_eq!(stack.taken(), 2);
         assert!(!stack.has_space());
     }
@@ -191,18 +179,9 @@ mod tests {
     #[test]
     fn recoveries_are_counted() {
         let mut stack = CheckpointStack::new(2);
-        stack.take(1);
+        stack.take();
         stack.recover();
         stack.recover();
         assert_eq!(stack.recoveries(), 2);
-    }
-
-    #[test]
-    fn oldest_seq_tracks_the_front_checkpoint() {
-        let mut stack = CheckpointStack::new(4);
-        assert_eq!(stack.oldest_seq(), None);
-        stack.take(5);
-        stack.take(9);
-        assert_eq!(stack.oldest_seq(), Some(5));
     }
 }

@@ -11,13 +11,20 @@
 //! |---|---|
 //! | Cache Processor: rename, issue queues, Aging-ROB | [`processor`] (on [`dkip_ooo::IssueEngine`] and [`dkip_ooo::FrontEnd`]) |
 //! | Analyze stage | [`processor`] |
-//! | Low-Locality Bit Vector + Architectural Writers Log | [`llbv`] |
+//! | Low-Locality Bit Vector + Architectural Writers Log (one [`LowLocalityWriter`] per register) | [`llbv`] |
 //! | Low-Locality Instruction Buffer (integer + FP) | [`llib`] |
-//! | Banked Low-Locality Register File | [`llrf`] |
+//! | Low-Locality Register File (a register count; banks have no timing effect) | [`llrf`] |
 //! | Future-File Memory Processors | [`memory_processor`] |
 //! | Address Processor (LSQ, memory ports, load-value FIFO) | [`address_processor`] |
 //! | Checkpointing Stack | [`checkpoint`] |
 //! | Full pipeline of Figure 8 | [`processor::DkipProcessor`] |
+//!
+//! The processor holds one *lane* per register class, an LLIB, its LLRF and
+//! the Memory Processor it feeds, and writes every per-class step once over
+//! both lanes. A low-locality instruction leaves in one place too: a
+//! long-latency load whose value arrives and a Memory Processor instruction
+//! that completes both retire through the same path, which wakes the
+//! Memory Processor instructions waiting on its value.
 //!
 //! The processor implements [`dkip_model::SimCore`]: [`dkip_model::drive`]
 //! runs it with the same loop as the baseline and KILO cores, and
@@ -54,7 +61,7 @@ pub mod processor;
 pub use address_processor::AddressProcessor;
 pub use checkpoint::CheckpointStack;
 pub use llbv::{Llbv, LowLocalityWriter};
-pub use llib::{Llib, LlibEntry, SourceState};
-pub use llrf::{Llrf, LlrfSlot};
+pub use llib::{Llib, LlibEntry};
+pub use llrf::Llrf;
 pub use memory_processor::MemoryProcessor;
 pub use processor::{run_dkip, DkipProcessor, DkipSnapshot};

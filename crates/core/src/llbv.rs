@@ -22,10 +22,21 @@ pub enum LowLocalityWriter {
     MpInstr(u64),
 }
 
-/// The LLBV plus its associated writers log.
+impl LowLocalityWriter {
+    /// The producer's sequence number.
+    #[must_use]
+    pub fn seq(self) -> u64 {
+        match self {
+            LowLocalityWriter::Load(seq) | LowLocalityWriter::MpInstr(seq) => seq,
+        }
+    }
+}
+
+/// The LLBV plus its associated writers log. A register's bit is set
+/// exactly when it has a low-locality writer, so the writers log is the
+/// only state kept per register.
 #[derive(Debug, Clone)]
 pub struct Llbv {
-    long_latency: [bool; TOTAL_ARCH_REGS],
     writers: [Option<LowLocalityWriter>; TOTAL_ARCH_REGS],
     marked: usize,
 }
@@ -35,7 +46,6 @@ impl Llbv {
     #[must_use]
     pub fn new() -> Self {
         Llbv {
-            long_latency: [false; TOTAL_ARCH_REGS],
             writers: [None; TOTAL_ARCH_REGS],
             marked: 0,
         }
@@ -43,28 +53,24 @@ impl Llbv {
 
     /// Marks `reg` as long latency, produced by `writer`.
     pub fn mark(&mut self, reg: ArchReg, writer: LowLocalityWriter) {
-        let idx = reg.flat_index();
-        if !self.long_latency[idx] {
+        let slot = &mut self.writers[reg.flat_index()];
+        if slot.is_none() {
             self.marked += 1;
         }
-        self.long_latency[idx] = true;
-        self.writers[idx] = Some(writer);
+        *slot = Some(writer);
     }
 
     /// Clears `reg` (a short-latency instruction redefined it).
     pub fn clear(&mut self, reg: ArchReg) {
-        let idx = reg.flat_index();
-        if self.long_latency[idx] {
+        if self.writers[reg.flat_index()].take().is_some() {
             self.marked -= 1;
         }
-        self.long_latency[idx] = false;
-        self.writers[idx] = None;
     }
 
     /// Whether `reg` currently holds a long-latency value.
     #[must_use]
     pub fn is_long_latency(&self, reg: ArchReg) -> bool {
-        self.long_latency[reg.flat_index()]
+        self.writers[reg.flat_index()].is_some()
     }
 
     /// The low-locality writer of `reg`, if the register is marked.
@@ -77,14 +83,6 @@ impl Llbv {
     #[must_use]
     pub fn marked_count(&self) -> usize {
         self.marked
-    }
-
-    /// Clears every bit (checkpoint recovery restores the full state to the
-    /// Cache Processor).
-    pub fn clear_all(&mut self) {
-        self.long_latency = [false; TOTAL_ARCH_REGS];
-        self.writers = [None; TOTAL_ARCH_REGS];
-        self.marked = 0;
     }
 }
 
@@ -133,17 +131,5 @@ mod tests {
         llbv.clear(ArchReg::fp(1));
         llbv.clear(ArchReg::fp(1));
         assert_eq!(llbv.marked_count(), 0);
-    }
-
-    #[test]
-    fn clear_all_resets_everything() {
-        let mut llbv = Llbv::new();
-        for i in 0..8 {
-            llbv.mark(ArchReg::int(i), LowLocalityWriter::Load(u64::from(i)));
-        }
-        assert_eq!(llbv.marked_count(), 8);
-        llbv.clear_all();
-        assert_eq!(llbv.marked_count(), 0);
-        assert!(!llbv.is_long_latency(ArchReg::int(3)));
     }
 }

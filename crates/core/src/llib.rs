@@ -2,41 +2,26 @@
 //!
 //! The LLIB is a simple FIFO (no issue capability, no CAM) holding the
 //! instructions the Analyze stage classified as low execution locality,
-//! together with bookkeeping about their sources: which operand value was
-//! READY and stored in the LLRF, which long-latency load each operand waits
-//! for, and which older low-locality instruction produces each operand.
-//! There is one LLIB for integer and one for floating-point instructions.
+//! together with bookkeeping about their sources: whether the READY operand
+//! holds an LLRF register, and the low-locality producer (a long-latency
+//! load or an older low-locality instruction) of each other operand. There
+//! is one LLIB for integer and one for floating-point instructions.
 
-use crate::llrf::LlrfSlot;
+use crate::llbv::LowLocalityWriter;
 use dkip_model::MicroOp;
 use std::collections::VecDeque;
-
-/// How one source operand of a parked instruction will obtain its value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SourceState {
-    /// The value was READY at Analyze and lives in the LLRF.
-    Ready,
-    /// The value is produced by a long-latency load executed by the Address
-    /// Processor (sequence number of the load).
-    WaitsForLoad(u64),
-    /// The value is produced by an older low-locality instruction that will
-    /// execute on the Memory Processor (its sequence number).
-    WaitsForMp(u64),
-}
 
 /// One instruction parked in the LLIB.
 #[derive(Debug, Clone)]
 pub struct LlibEntry {
     /// The parked micro-op.
     pub op: MicroOp,
-    /// Per-source resolution state (parallel to `op.srcs`).
-    pub sources: [Option<SourceState>; 2],
-    /// LLRF register holding the READY operand, if any.
-    pub llrf_slot: Option<LlrfSlot>,
-    /// Checkpoint epoch this instruction belongs to.
-    pub checkpoint_epoch: u64,
-    /// Cycle at which the instruction was inserted.
-    pub inserted_at: u64,
+    /// The low-locality producer of each source (parallel to `op.srcs`),
+    /// copied from the LLBV at Analyze; `None` for a source that was READY
+    /// or is absent.
+    pub writers: [Option<LowLocalityWriter>; 2],
+    /// Whether the READY operand holds an LLRF register.
+    pub llrf: bool,
 }
 
 impl LlibEntry {
@@ -45,9 +30,9 @@ impl LlibEntry {
     /// only move to the Memory Processor once that load has completed.
     #[must_use]
     pub fn blocking_load(&self) -> Option<u64> {
-        self.sources.iter().flatten().find_map(|s| match s {
-            SourceState::WaitsForLoad(seq) => Some(*seq),
-            _ => None,
+        self.writers.iter().flatten().find_map(|w| match *w {
+            LowLocalityWriter::Load(seq) => Some(seq),
+            LowLocalityWriter::MpInstr(_) => None,
         })
     }
 }
@@ -58,7 +43,6 @@ pub struct Llib {
     capacity: usize,
     entries: VecDeque<LlibEntry>,
     peak: usize,
-    total_inserted: u64,
 }
 
 impl Llib {
@@ -74,7 +58,6 @@ impl Llib {
             capacity,
             entries: VecDeque::new(),
             peak: 0,
-            total_inserted: 0,
         }
     }
 
@@ -96,22 +79,10 @@ impl Llib {
         self.entries.is_empty()
     }
 
-    /// The configured capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Peak occupancy in instructions (Figures 13/14).
     #[must_use]
     pub fn peak(&self) -> usize {
         self.peak
-    }
-
-    /// Total number of instructions ever inserted.
-    #[must_use]
-    pub fn total_inserted(&self) -> u64 {
-        self.total_inserted
     }
 
     /// Inserts an instruction at the tail.
@@ -124,7 +95,6 @@ impl Llib {
         assert!(self.has_space(), "LLIB overflow");
         self.entries.push_back(entry);
         self.peak = self.peak.max(self.entries.len());
-        self.total_inserted += 1;
     }
 
     /// A reference to the oldest parked instruction.
@@ -149,10 +119,8 @@ mod tests {
             op: MicroOp::new(seq, 0x400, OpClass::FpAdd)
                 .with_dst(ArchReg::fp(1))
                 .with_src(ArchReg::fp(2)),
-            sources: [Some(SourceState::WaitsForLoad(seq.saturating_sub(1))), None],
-            llrf_slot: None,
-            checkpoint_epoch: 0,
-            inserted_at: 0,
+            writers: [Some(LowLocalityWriter::Load(seq.saturating_sub(1))), None],
+            llrf: false,
         }
     }
 
@@ -170,7 +138,7 @@ mod tests {
     }
 
     #[test]
-    fn peak_and_total_are_tracked() {
+    fn peak_is_tracked() {
         let mut llib = Llib::new(8);
         for seq in 0..6 {
             llib.push(entry(seq));
@@ -180,7 +148,6 @@ mod tests {
         }
         llib.push(entry(10));
         assert_eq!(llib.peak(), 6);
-        assert_eq!(llib.total_inserted(), 7);
         assert_eq!(llib.len(), 3);
     }
 
@@ -197,7 +164,7 @@ mod tests {
         let e = entry(7);
         assert_eq!(e.blocking_load(), Some(6));
         let mut ready = entry(3);
-        ready.sources = [Some(SourceState::Ready), Some(SourceState::WaitsForMp(1))];
+        ready.writers = [None, Some(LowLocalityWriter::MpInstr(1))];
         assert_eq!(ready.blocking_load(), None);
     }
 }

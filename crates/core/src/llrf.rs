@@ -2,39 +2,33 @@
 //!
 //! The LLRF stores the READY operand (at most one per instruction — an
 //! Alpha-ISA property the paper relies on) of each instruction parked in the
-//! LLIB. It is organised as single-ported banks; because the LLIB is a FIFO,
-//! insertion and extraction always touch disjoint groups of banks, so no
-//! port conflicts arise. This model tracks per-bank occupancy, allocation
-//! round-robin across banks, and the peak occupancy reported in Figures 13
-//! and 14.
+//! LLIB. The paper organises it as single-ported banks. Banks are not
+//! modelled here because banking has no timing effect: the LLIB is a FIFO,
+//! so insertion and extraction touch disjoint groups of banks, and the
+//! configuration check `llrf_banks >= insertion_rate + extraction_rate`
+//! guarantees there are enough banks for both, so no port conflict arises.
+//! An allocation can then fail only when every register is taken, whatever
+//! bank it would have used. The model is a count of allocated registers
+//! against the total capacity, with the peak occupancy reported in Figures
+//! 13 and 14.
 
 use dkip_model::config::LlibConfig;
 
-/// A banked register file for READY operands of low-locality instructions.
+/// The READY-operand register file of one register class's LLIB.
 #[derive(Debug, Clone)]
 pub struct Llrf {
-    banks: Vec<usize>,
-    regs_per_bank: usize,
-    next_bank: usize,
+    capacity: usize,
     occupied: usize,
     peak: usize,
 }
 
-/// The bank and slot an LLRF register was allocated in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LlrfSlot {
-    /// Bank index.
-    pub bank: usize,
-}
-
 impl Llrf {
-    /// Creates an LLRF from the LLIB configuration.
+    /// Creates an LLRF of `llrf_banks × llrf_regs_per_bank` registers from
+    /// the LLIB configuration.
     #[must_use]
     pub fn new(config: &LlibConfig) -> Self {
         Llrf {
-            banks: vec![0; config.llrf_banks],
-            regs_per_bank: config.llrf_regs_per_bank,
-            next_bank: 0,
+            capacity: config.llrf_banks * config.llrf_regs_per_bank,
             occupied: 0,
             peak: 0,
         }
@@ -43,7 +37,7 @@ impl Llrf {
     /// Total register capacity.
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.banks.len() * self.regs_per_bank
+        self.capacity
     }
 
     /// Registers currently allocated.
@@ -58,31 +52,15 @@ impl Llrf {
         self.peak
     }
 
-    /// Whether at least one register can be allocated.
-    #[must_use]
-    pub fn has_space(&self) -> bool {
-        self.occupied < self.capacity()
-    }
-
-    /// Allocates one register, rotating across banks (the FIFO insertion
-    /// order of the LLIB naturally spreads registers over banks).
-    ///
-    /// Returns `None` when every bank is full.
-    pub fn allocate(&mut self) -> Option<LlrfSlot> {
-        if !self.has_space() {
-            return None;
+    /// Allocates one register. Returns `false`, allocating nothing, when
+    /// every register is taken.
+    pub fn allocate(&mut self) -> bool {
+        if self.occupied == self.capacity {
+            return false;
         }
-        for probe in 0..self.banks.len() {
-            let bank = (self.next_bank + probe) % self.banks.len();
-            if self.banks[bank] < self.regs_per_bank {
-                self.banks[bank] += 1;
-                self.next_bank = (bank + 1) % self.banks.len();
-                self.occupied += 1;
-                self.peak = self.peak.max(self.occupied);
-                return Some(LlrfSlot { bank });
-            }
-        }
-        None
+        self.occupied += 1;
+        self.peak = self.peak.max(self.occupied);
+        true
     }
 
     /// Frees a previously allocated register (its value has been read into
@@ -90,10 +68,9 @@ impl Llrf {
     ///
     /// # Panics
     ///
-    /// Panics if the bank has no allocated registers.
-    pub fn free(&mut self, slot: LlrfSlot) {
-        assert!(self.banks[slot.bank] > 0, "freeing an empty LLRF bank");
-        self.banks[slot.bank] -= 1;
+    /// Panics if no register is allocated.
+    pub fn free(&mut self) {
+        assert!(self.occupied > 0, "freeing an empty LLRF");
         self.occupied -= 1;
     }
 }
@@ -113,34 +90,21 @@ mod tests {
     }
 
     #[test]
-    fn allocation_rotates_across_banks() {
-        let mut llrf = Llrf::new(&small());
-        let slots: Vec<_> = (0..8).map(|_| llrf.allocate().unwrap()).collect();
-        let banks: std::collections::HashSet<_> = slots.iter().map(|s| s.bank).collect();
-        assert_eq!(
-            banks.len(),
-            8,
-            "first eight allocations hit eight distinct banks"
-        );
-    }
-
-    #[test]
     fn capacity_and_peak_tracking() {
         let mut llrf = Llrf::new(&small());
         assert_eq!(llrf.capacity(), 16);
-        let mut slots = Vec::new();
         for _ in 0..16 {
-            slots.push(llrf.allocate().unwrap());
+            assert!(llrf.allocate());
         }
-        assert!(!llrf.has_space());
-        assert!(llrf.allocate().is_none());
+        assert!(!llrf.allocate());
+        assert_eq!(llrf.occupied(), 16);
         assert_eq!(llrf.peak(), 16);
-        for slot in slots {
-            llrf.free(slot);
+        for _ in 0..16 {
+            llrf.free();
         }
         assert_eq!(llrf.occupied(), 0);
         assert_eq!(llrf.peak(), 16, "peak is sticky");
-        assert!(llrf.has_space());
+        assert!(llrf.allocate());
     }
 
     #[test]
@@ -150,11 +114,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "empty LLRF bank")]
+    #[should_panic(expected = "empty LLRF")]
     fn double_free_panics() {
         let mut llrf = Llrf::new(&small());
-        let slot = llrf.allocate().unwrap();
-        llrf.free(slot);
-        llrf.free(slot);
+        assert!(llrf.allocate());
+        llrf.free();
+        llrf.free();
     }
 }

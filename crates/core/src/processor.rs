@@ -6,10 +6,14 @@
 //! 1. the out-of-order **Cache Processor** — fetch, rename, small issue
 //!    queues, an **Aging-ROB** whose head reaches the **Analyze** stage a
 //!    fixed number of cycles after decode;
-//! 2. the FIFO **Low-Locality Instruction Buffers** (one integer, one FP)
-//!    with their banked **LLRF** register storage; and
+//! 2. the FIFO **Low-Locality Instruction Buffers** with their **LLRF**
+//!    register storage; and
 //! 3. the in-order (by default) **Memory Processors** fed by the LLIBs and
 //!    by the **Address Processor**'s load-value FIFO.
+//!
+//! Each register class has one LLIB, LLRF and Memory Processor, held
+//! together as that class's lane; the two lanes are written once and
+//! indexed by [`RegClass`](dkip_model::RegClass).
 //!
 //! The Analyze stage classifies each instruction using the **LLBV**: an
 //! instruction with a long-latency source drains to the LLIB, everything
@@ -29,17 +33,18 @@
 use crate::address_processor::AddressProcessor;
 use crate::checkpoint::CheckpointStack;
 use crate::llbv::{Llbv, LowLocalityWriter};
-use crate::llib::{Llib, LlibEntry, SourceState};
+use crate::llib::{Llib, LlibEntry};
 use crate::llrf::Llrf;
 use crate::memory_processor::MemoryProcessor;
 use dkip_mem::MemoryHierarchy;
 use dkip_model::config::{event_clock_enabled, DkipConfig, MemoryHierarchyConfig};
 use dkip_model::telemetry::{MetricsFrame, NoProbe, Probe, Stage};
 use dkip_model::{
-    drive, ConsumerTable, FastHashMap, MicroOp, OpClass, RegClass, SimCore, SimStats, WarmSink,
+    drive, ConsumerTable, FastHashMap, MicroOp, OpClass, SimCore, SimStats, WarmSink,
 };
 use dkip_ooo::{CoreParams, FrontEnd, IssueEngine, MemorySide, RobEntry};
 use dkip_trace::{Benchmark, TraceGenerator};
+use std::array;
 
 /// Metadata kept for every instruction that left the Cache Processor as low
 /// locality (parked in an LLIB, executing in a Memory Processor, or a
@@ -48,9 +53,28 @@ use dkip_trace::{Benchmark, TraceGenerator};
 struct LowMeta {
     op: MicroOp,
     epoch: u64,
-    queue: RegClass,
     predicted_taken: bool,
     mispredicted: bool,
+}
+
+/// One register class's low-locality path: its LLIB, the LLRF holding the
+/// READY operands of the LLIB's instructions, and the Memory Processor the
+/// LLIB feeds.
+#[derive(Debug, Clone)]
+struct Lane {
+    llib: Llib,
+    llrf: Llrf,
+    mp: MemoryProcessor,
+}
+
+impl Lane {
+    fn new(cfg: &DkipConfig) -> Self {
+        Lane {
+            llib: Llib::new(cfg.llib.capacity),
+            llrf: Llrf::new(&cfg.llib),
+            mp: MemoryProcessor::new(&cfg.memory_processor),
+        }
+    }
 }
 
 /// A deep-copied checkpoint of a [`DkipProcessor`], captured by
@@ -88,28 +112,23 @@ pub struct DkipProcessor {
     front: FrontEnd,
     engine: IssueEngine,
 
-    // Low-locality machinery.
+    // Low-locality machinery: the integer and FP lanes, indexed by
+    // `RegClass` and always visited in `RegClass::both()` order, so the
+    // integer Memory Processor goes first on the shared Address Processor
+    // ports and its completions drain first.
     llbv: Llbv,
-    llib_int: Llib,
-    llib_fp: Llib,
-    llrf_int: Llrf,
-    llrf_fp: Llrf,
+    lanes: [Lane; 2],
     checkpoints: CheckpointStack,
     analyzed_since_checkpoint: u64,
-
-    // Memory Processors and Address Processor.
-    mp_int: MemoryProcessor,
-    mp_fp: MemoryProcessor,
     ap: AddressProcessor,
     /// Every low-locality instruction, from Analyze until it completes: in
     /// an LLIB, in a Memory Processor, or a long-latency load waiting for
     /// its value. Membership is the availability test for both kinds of
     /// low-locality producer.
     low_meta: FastHashMap<u64, LowMeta>,
-    /// Producer (MP instruction) → consumers inserted in an MP waiting on it.
-    mp_consumers: ConsumerTable,
-    /// Long-latency load → consumers inserted in an MP waiting on its value.
-    load_waiters: ConsumerTable,
+    /// Low-locality producer (long-latency load or MP instruction) →
+    /// consumers inserted in an MP waiting on its value.
+    mp_waiters: ConsumerTable,
 
     /// Force one tick per simulated cycle instead of letting [`drive`]
     /// fast-forward over quiesced stretches (set by `DKIP_NO_SKIP=1`).
@@ -158,18 +177,12 @@ impl DkipProcessor {
             front: FrontEnd::new(cp.widths.fetch),
             engine: IssueEngine::new(&cache_processor_params(&cfg)),
             llbv: Llbv::new(),
-            llib_int: Llib::new(cfg.llib.capacity),
-            llib_fp: Llib::new(cfg.llib.capacity),
-            llrf_int: Llrf::new(&cfg.llib),
-            llrf_fp: Llrf::new(&cfg.llib),
+            lanes: array::from_fn(|_| Lane::new(&cfg)),
             checkpoints: CheckpointStack::new(cfg.checkpoint.stack_entries),
             analyzed_since_checkpoint: 0,
-            mp_int: MemoryProcessor::new(&cfg.memory_processor),
-            mp_fp: MemoryProcessor::new(&cfg.memory_processor),
             ap: AddressProcessor::new(&cfg.address_processor, mem),
             low_meta: FastHashMap::default(),
-            mp_consumers: ConsumerTable::new(),
-            load_waiters: ConsumerTable::new(),
+            mp_waiters: ConsumerTable::new(),
             single_step: !event_clock_enabled(),
             stats: SimStats::new(),
             select_scratch: Vec::new(),
@@ -192,6 +205,7 @@ impl DkipProcessor {
                 self.cycle.saturating_sub(e.dispatch_cycle)
             )
         });
+        let [int, fp] = &self.lanes;
         format!(
             "cycle={} committed={} rob={} head=[{}] iq={} wakeups={} llib={}L/{}F mp={}L/{}F chkpt={} llbv={} lsq={}",
             self.cycle,
@@ -200,10 +214,10 @@ impl DkipProcessor {
             head.unwrap_or_else(|| "empty".to_owned()),
             self.engine.queued(),
             self.engine.wakeup_lists(),
-            self.llib_int.len(),
-            self.llib_fp.len(),
-            self.mp_int.occupancy(),
-            self.mp_fp.occupancy(),
+            int.llib.len(),
+            fp.llib.len(),
+            int.mp.occupancy(),
+            fp.mp.occupancy(),
             self.checkpoints.len(),
             self.llbv.marked_count(),
             self.ap.lsq().occupancy(),
@@ -262,23 +276,17 @@ impl DkipProcessor {
     }
 
     // ------------------------------------------------------------------
-    // Long-latency load values arriving at the Address Processor.
+    // Low-locality completion: long-latency load values arriving at the
+    // Address Processor, and Memory Processor completions.
     // ------------------------------------------------------------------
     fn handle_load_value_arrival<P: Probe>(&mut self, load_seq: u64, probe: &mut P) {
-        // The load itself retires now (it was removed from the Aging-ROB at
-        // Analyze and handed to the AP).
-        if let Some(meta) = self.low_meta.remove(&load_seq) {
-            self.stats.committed += 1;
-            self.stats.low_locality_instrs += 1;
-            self.checkpoints.complete_instruction(meta.epoch);
-            self.ap.lsq_mut().retire_load(load_seq);
-            probe.trace_stage(load_seq, Stage::Complete, self.cycle);
-            probe.trace_commit(load_seq, self.cycle);
-        } else if self
-            .engine
-            .rob()
-            .get(load_seq)
-            .is_some_and(|e| e.long_latency)
+        // A load analysed into the Address Processor's care retires now.
+        if !self.retire_low_locality(load_seq, probe)
+            && self
+                .engine
+                .rob()
+                .get(load_seq)
+                .is_some_and(|e| e.long_latency)
         {
             // The value returned before the load reached the Analyze stage
             // (common for accesses merged into an already-outstanding miss).
@@ -293,56 +301,44 @@ impl DkipProcessor {
                 probe,
             );
         }
-        let waiters = self.load_waiters.take(load_seq);
-        for &consumer in &waiters {
-            let queue = self.low_meta.get(&consumer).map(|m| m.queue);
-            match queue {
-                Some(RegClass::Int) => self.mp_int.satisfy(consumer),
-                Some(RegClass::Fp) => self.mp_fp.satisfy(consumer),
-                None => {}
-            }
-        }
-        self.load_waiters.recycle(waiters);
     }
 
-    // ------------------------------------------------------------------
-    // Memory Processor completion and issue.
-    // ------------------------------------------------------------------
     fn drain_mp_completions<P: Probe>(&mut self, probe: &mut P) -> bool {
         // The integer MP drains first: no completion schedules another MP
-        // completion, so the `or_else` reaches the FP MP only once the
-        // integer one has nothing due.
+        // completion, so the search reaches the FP MP only once the integer
+        // one has nothing due.
         let mut completed = false;
         while let Some(seq) = self
-            .mp_int
-            .pop_completed(self.cycle)
-            .or_else(|| self.mp_fp.pop_completed(self.cycle))
+            .lanes
+            .iter_mut()
+            .find_map(|lane| lane.mp.pop_completed(self.cycle))
         {
             completed = true;
-            self.handle_mp_completion(seq, probe);
+            self.retire_low_locality(seq, probe);
         }
         completed
     }
 
-    fn handle_mp_completion<P: Probe>(&mut self, seq: u64, probe: &mut P) {
+    /// Retires low-locality instruction `seq` — a long-latency load whose
+    /// value arrived, or a Memory Processor instruction that completed —
+    /// and wakes the Memory Processor instructions waiting on its value.
+    /// Returns `false`, doing nothing, if `seq` is not on the low-locality
+    /// side. Every low-locality producer completes here, so this is where
+    /// Cache Processor consumers of such a producer are to be woken once
+    /// [`cp_dispatch`](Self::cp_dispatch) counts them as pending.
+    fn retire_low_locality<P: Probe>(&mut self, seq: u64, probe: &mut P) -> bool {
         let Some(meta) = self.low_meta.remove(&seq) else {
-            return;
+            return false;
         };
         self.stats.committed += 1;
         self.stats.low_locality_instrs += 1;
         self.checkpoints.complete_instruction(meta.epoch);
         probe.trace_stage(seq, Stage::Complete, self.cycle);
         probe.trace_commit(seq, self.cycle);
-        match meta.op.class {
-            OpClass::Load => self.ap.lsq_mut().retire_load(seq),
-            OpClass::Store => self
-                .ap
-                .lsq_mut()
-                .retire_store(seq, meta.op.mem_addr.expect("store has an address")),
-            _ => {}
-        }
+        self.retire_from_lsq(&meta.op);
         // Recovery past the Cache Processor uses the checkpoint stack: pay
-        // the refill penalty plus the checkpoint restore penalty.
+        // the refill penalty plus the checkpoint restore penalty. A load
+        // is not a branch, so it never resolves anything here.
         let resume_at = self.cycle
             + self.cfg.cache_processor.mispredict_penalty
             + self.cfg.checkpoint.recovery_penalty;
@@ -355,33 +351,38 @@ impl DkipProcessor {
         ) {
             self.checkpoints.recover();
         }
-        // Wake MP consumers of this value.
-        let waiters = self.mp_consumers.take(seq);
+        let waiters = self.mp_waiters.take(seq);
         for &consumer in &waiters {
-            let queue = self.low_meta.get(&consumer).map(|m| m.queue);
-            match queue {
-                Some(RegClass::Int) => self.mp_int.satisfy(consumer),
-                Some(RegClass::Fp) => self.mp_fp.satisfy(consumer),
-                None => {}
+            if let Some(meta) = self.low_meta.get(&consumer) {
+                self.lanes[meta.op.queue_class() as usize]
+                    .mp
+                    .satisfy(consumer);
             }
         }
-        self.mp_consumers.recycle(waiters);
+        self.mp_waiters.recycle(waiters);
+        true
+    }
+
+    /// Frees the LSQ entry of a retiring load or store.
+    fn retire_from_lsq(&mut self, op: &MicroOp) {
+        match op.class {
+            OpClass::Load => self.ap.lsq_mut().retire_load(op.seq),
+            OpClass::Store => self
+                .ap
+                .lsq_mut()
+                .retire_store(op.seq, op.mem_addr.expect("store has an address")),
+            _ => {}
+        }
     }
 
     fn mp_issue<P: Probe>(&mut self, probe: &mut P) -> bool {
         let mut issued = false;
         let width = self.cfg.memory_processor.decode_width;
-        for class in [RegClass::Int, RegClass::Fp] {
-            let mut selected = std::mem::take(&mut self.select_scratch);
+        let mut selected = std::mem::take(&mut self.select_scratch);
+        for lane in &mut self.lanes {
             selected.clear();
-            match class {
-                RegClass::Int => self
-                    .mp_int
-                    .select_into(width, self.ap.ports_mut(), &mut selected),
-                RegClass::Fp => self
-                    .mp_fp
-                    .select_into(width, self.ap.ports_mut(), &mut selected),
-            }
+            lane.mp
+                .select_into(width, self.ap.ports_mut(), &mut selected);
             issued |= !selected.is_empty();
             for &(seq, op_class) in &selected {
                 probe.trace_stage(seq, Stage::Issue, self.cycle);
@@ -400,17 +401,11 @@ impl DkipProcessor {
                 } else {
                     op_class.exec_latency()
                 };
-                match class {
-                    RegClass::Int => self
-                        .mp_int
-                        .schedule_completion(seq, self.cycle + latency.max(1)),
-                    RegClass::Fp => self
-                        .mp_fp
-                        .schedule_completion(seq, self.cycle + latency.max(1)),
-                }
+                lane.mp
+                    .schedule_completion(seq, self.cycle + latency.max(1));
             }
-            self.select_scratch = selected;
         }
+        self.select_scratch = selected;
         issued
     }
 
@@ -419,14 +414,10 @@ impl DkipProcessor {
     // ------------------------------------------------------------------
     fn llib_to_mp_transfer(&mut self) -> bool {
         let mut transferred = false;
-        for class in [RegClass::Int, RegClass::Fp] {
+        for lane in &mut self.lanes {
             for _ in 0..self.cfg.llib.extraction_rate {
-                let (llib, mp, llrf) = match class {
-                    RegClass::Int => (&mut self.llib_int, &mut self.mp_int, &mut self.llrf_int),
-                    RegClass::Fp => (&mut self.llib_fp, &mut self.mp_fp, &mut self.llrf_fp),
-                };
-                let Some(head) = llib.head() else { break };
-                if !mp.has_space() {
+                let Some(head) = lane.llib.head() else { break };
+                if !lane.mp.has_space() {
                     break;
                 }
                 // The paper's transfer rule: the head may move once the
@@ -434,39 +425,29 @@ impl DkipProcessor {
                 // other instructions move without additional checks. A
                 // load stays in `low_meta` from Analyze until its value
                 // arrives, so membership means "not yet".
-                if let Some(load) = head.blocking_load() {
-                    if self.low_meta.contains_key(&load) {
-                        break;
-                    }
+                if head
+                    .blocking_load()
+                    .is_some_and(|load| self.low_meta.contains_key(&load))
+                {
+                    break;
                 }
-                let entry = llib.pop().expect("head exists");
+                let entry = lane.llib.pop().expect("head exists");
                 transferred = true;
-                if let Some(slot) = entry.llrf_slot {
-                    llrf.free(slot);
+                if entry.llrf {
+                    lane.llrf.free();
                 }
                 let seq = entry.op.seq;
                 let mut unavailable = 0u8;
                 // A producer still in `low_meta` has not completed (value
                 // arrival or MP completion removes it), so this one
                 // membership test decides availability for both kinds.
-                for source in entry.sources.iter().flatten() {
-                    match *source {
-                        SourceState::Ready => {}
-                        SourceState::WaitsForLoad(load) => {
-                            if self.low_meta.contains_key(&load) {
-                                unavailable += 1;
-                                self.load_waiters.push(load, seq);
-                            }
-                        }
-                        SourceState::WaitsForMp(producer) => {
-                            if self.low_meta.contains_key(&producer) {
-                                unavailable += 1;
-                                self.mp_consumers.push(producer, seq);
-                            }
-                        }
+                for producer in entry.writers.iter().flatten().map(|w| w.seq()) {
+                    if self.low_meta.contains_key(&producer) {
+                        unavailable += 1;
+                        self.mp_waiters.push(producer, seq);
                     }
                 }
-                mp.insert(seq, entry.op.class, unavailable);
+                lane.mp.insert(seq, entry.op.class, unavailable);
             }
         }
         transferred
@@ -496,7 +477,6 @@ impl DkipProcessor {
     /// The Analyze stage: classify up to `analyze width` aged instructions
     /// from the head of the Aging-ROB. Returns whether any instruction left
     /// the Aging-ROB.
-    #[allow(clippy::too_many_lines)]
     fn analyze<P: Probe>(&mut self, probe: &mut P) -> bool {
         let mut advanced = false;
         let mut stalled = false;
@@ -521,14 +501,7 @@ impl DkipProcessor {
                 if let Some(dst) = entry.op.dst {
                     self.llbv.clear(dst);
                 }
-                match entry.op.class {
-                    OpClass::Load => self.ap.lsq_mut().retire_load(seq),
-                    OpClass::Store => self
-                        .ap
-                        .lsq_mut()
-                        .retire_store(seq, entry.op.mem_addr.expect("store has an address")),
-                    _ => {}
-                }
+                self.retire_from_lsq(&entry.op);
                 self.stats.committed += 1;
                 self.stats.high_locality_instrs += 1;
                 self.analyzed_since_checkpoint += 1;
@@ -540,7 +513,7 @@ impl DkipProcessor {
             if long_latency_load {
                 // A load that issued in the CP and missed to main memory:
                 // the Address Processor owns it from here on.
-                let Some(epoch) = self.ensure_checkpoint(seq) else {
+                let Some(epoch) = self.ensure_checkpoint() else {
                     stalled = true;
                     break;
                 };
@@ -554,7 +527,6 @@ impl DkipProcessor {
                     LowMeta {
                         op: entry.op,
                         epoch,
-                        queue: RegClass::Int,
                         predicted_taken: false,
                         mispredicted: false,
                     },
@@ -567,7 +539,7 @@ impl DkipProcessor {
 
             if has_long_latency_src && !issued {
                 // Low execution locality: drain to the LLIB.
-                if !self.insert_into_llib(seq) {
+                if !self.insert_into_llib() {
                     stalled = true;
                     break;
                 }
@@ -592,11 +564,11 @@ impl DkipProcessor {
     /// Takes (or reuses) a checkpoint for a new low-locality instruction.
     /// Returns the epoch, or `None` if the checkpoint stack is full and the
     /// Analyze stage must stall.
-    fn ensure_checkpoint(&mut self, seq: u64) -> Option<u64> {
+    fn ensure_checkpoint(&mut self) -> Option<u64> {
         let need_new = self.checkpoints.is_empty()
             || self.analyzed_since_checkpoint >= self.cfg.checkpoint.interval_instrs;
         if need_new {
-            let epoch = self.checkpoints.take(seq)?;
+            let epoch = self.checkpoints.take()?;
             self.analyzed_since_checkpoint = 0;
             Some(epoch)
         } else {
@@ -607,69 +579,44 @@ impl DkipProcessor {
     /// Moves the Aging-ROB head into the LLIB of its class. Returns `false`
     /// if a resource (LLIB entry, LLRF register, checkpoint) is unavailable
     /// and the Analyze stage must stall.
-    fn insert_into_llib(&mut self, seq: u64) -> bool {
-        let head = self.engine.rob().head().expect("caller checked");
-        let op = head.op;
-        let class = op.queue_class();
-        let llib_has_space = match class {
-            RegClass::Int => self.llib_int.has_space(),
-            RegClass::Fp => self.llib_fp.has_space(),
-        };
-        if !llib_has_space {
+    fn insert_into_llib(&mut self) -> bool {
+        let op = self.engine.rob().head().expect("caller checked").op;
+        let lane = op.queue_class() as usize;
+        if !self.lanes[lane].llib.has_space() {
             self.stats.llib_full_stall_cycles += 1;
             return false;
         }
-        // Classify the sources and stage the READY operand into the LLRF.
-        let mut sources = [None, None];
-        let mut llrf_slot = None;
-        for (idx, src) in op.srcs.iter().enumerate() {
+        // Copy each source's low-locality producer from the LLBV and stage
+        // the READY operand into the LLRF.
+        let mut writers = [None; 2];
+        let mut llrf = false;
+        for (writer, src) in writers.iter_mut().zip(op.srcs) {
             let Some(reg) = src else { continue };
-            if self.llbv.is_long_latency(*reg) {
-                sources[idx] = Some(match self.llbv.writer(*reg) {
-                    Some(LowLocalityWriter::Load(l)) => SourceState::WaitsForLoad(l),
-                    Some(LowLocalityWriter::MpInstr(p)) => SourceState::WaitsForMp(p),
-                    // Defensive: a marked register always has a writer.
-                    None => SourceState::Ready,
-                });
-            } else {
-                sources[idx] = Some(SourceState::Ready);
-                if llrf_slot.is_none() {
-                    let allocated = match class {
-                        RegClass::Int => self.llrf_int.allocate(),
-                        RegClass::Fp => self.llrf_fp.allocate(),
-                    };
-                    match allocated {
-                        Some(slot) => llrf_slot = Some(slot),
-                        None => return false,
-                    }
+            *writer = self.llbv.writer(reg);
+            if writer.is_none() && !llrf {
+                if !self.lanes[lane].llrf.allocate() {
+                    return false;
                 }
+                llrf = true;
             }
         }
-        let Some(epoch) = self.ensure_checkpoint(seq) else {
+        let Some(epoch) = self.ensure_checkpoint() else {
             // Undo the LLRF allocation; the Analyze stage retries next cycle.
-            if let Some(slot) = llrf_slot {
-                match class {
-                    RegClass::Int => self.llrf_int.free(slot),
-                    RegClass::Fp => self.llrf_fp.free(slot),
-                }
+            if llrf {
+                self.lanes[lane].llrf.free();
             }
             return false;
         };
 
         let entry = self.leave_cp();
+        let seq = entry.op.seq;
         if let Some(dst) = entry.op.dst {
             self.llbv.mark(dst, LowLocalityWriter::MpInstr(seq));
         }
-        let llib = match class {
-            RegClass::Int => &mut self.llib_int,
-            RegClass::Fp => &mut self.llib_fp,
-        };
-        llib.push(LlibEntry {
+        self.lanes[lane].llib.push(LlibEntry {
             op: entry.op,
-            sources,
-            llrf_slot,
-            checkpoint_epoch: epoch,
-            inserted_at: self.cycle,
+            writers,
+            llrf,
         });
         self.checkpoints.register_instruction(epoch);
         self.low_meta.insert(
@@ -677,7 +624,6 @@ impl DkipProcessor {
             LowMeta {
                 op: entry.op,
                 epoch,
-                queue: class,
                 predicted_taken: entry.predicted_taken,
                 mispredicted: entry.mispredicted,
             },
@@ -701,8 +647,8 @@ impl DkipProcessor {
     /// Processor does not, and its consumer is classified through the LLBV
     /// at Analyze instead. A consumer with no other pending source can
     /// therefore issue in the CP before that operand exists; counting the
-    /// `low_meta` producers here, and waking their consumers at MP
-    /// completion or load-value arrival, is the fix.
+    /// `low_meta` producers here, and waking their consumers in
+    /// [`retire_low_locality`](Self::retire_low_locality), is the fix.
     fn cp_dispatch<P: Probe>(&mut self, probe: &mut P) -> bool {
         self.engine.dispatch(
             self.cycle,
@@ -724,8 +670,9 @@ impl SimCore for DkipProcessor {
         self.cycle += 1;
         self.stats.ticks_executed += 1;
         self.engine.begin_cycle();
-        self.mp_int.begin_cycle();
-        self.mp_fp.begin_cycle();
+        for lane in &mut self.lanes {
+            lane.mp.begin_cycle();
+        }
         self.ap.begin_cycle();
         let mut progress = false;
         while let Some(load) = self.ap.pop_arrival(self.cycle) {
@@ -759,10 +706,11 @@ impl SimCore for DkipProcessor {
             .head()
             .map(|head| head.dispatch_cycle + self.cfg.cache_processor.rob_timer)
             .filter(|&at| at > now);
+        let [int, fp] = &self.lanes;
         [
             self.engine.next_completion(now),
-            self.mp_int.next_event(now),
-            self.mp_fp.next_event(now),
+            int.mp.next_event(now),
+            fp.mp.next_event(now),
             self.ap.next_event(now),
             self.front.next_event(now),
             head_ages,
@@ -793,7 +741,7 @@ impl SimCore for DkipProcessor {
             rob: self.engine.rob().len() as u64,
             iq: self.engine.queued() as u64,
             lsq: self.ap.lsq().occupancy() as u64,
-            llib: (self.llib_int.len() + self.llib_fp.len()) as u64,
+            llib: self.lanes.iter().map(|lane| lane.llib.len() as u64).sum(),
             llbv: self.llbv.marked_count() as u64,
             cond_branches: self.stats.cond_branches,
             branch_mispredicts: self.stats.branch_mispredicts,
@@ -811,10 +759,11 @@ impl SimCore for DkipProcessor {
         self.stats.l1_hits = mem.l1_hits;
         self.stats.l2_hits = mem.l2_hits;
         self.stats.mem_accesses = mem.memory_accesses;
-        self.stats.llib_int_peak_instrs = self.llib_int.peak() as u64;
-        self.stats.llib_fp_peak_instrs = self.llib_fp.peak() as u64;
-        self.stats.llrf_int_peak_regs = self.llrf_int.peak() as u64;
-        self.stats.llrf_fp_peak_regs = self.llrf_fp.peak() as u64;
+        let [int, fp] = &self.lanes;
+        self.stats.llib_int_peak_instrs = int.llib.peak() as u64;
+        self.stats.llib_fp_peak_instrs = fp.llib.peak() as u64;
+        self.stats.llrf_int_peak_regs = int.llrf.peak() as u64;
+        self.stats.llrf_fp_peak_regs = fp.llrf.peak() as u64;
         self.stats.checkpoints_taken = self.checkpoints.taken();
         self.stats.checkpoint_recoveries = self.checkpoints.recoveries();
     }
@@ -916,8 +865,7 @@ mod tests {
                 );
                 for (table, len) in [
                     ("low_meta", proc_.low_meta.len()),
-                    ("mp_consumers", proc_.mp_consumers.len()),
-                    ("load_waiters", proc_.load_waiters.len()),
+                    ("mp_waiters", proc_.mp_waiters.len()),
                 ] {
                     assert!(
                         len <= low_bound,
@@ -1014,6 +962,26 @@ mod tests {
             stats.llrf_fp_peak_regs <= stats.llib_fp_peak_instrs,
             "at most one READY register per parked instruction"
         );
+    }
+
+    #[test]
+    fn an_llrf_smaller_than_its_llib_fills_and_stalls_analyze_but_not_the_run() {
+        // Eight registers against a 2048-entry LLIB: unlike the paper
+        // default, the LLRF fills before the LLIB does, so an allocation is
+        // refused and Analyze retries it.
+        let mut cfg = DkipConfig::paper_default();
+        cfg.llib.llrf_banks = 8;
+        cfg.llib.llrf_regs_per_bank = 1;
+        let stats = run(
+            &cfg,
+            MemoryHierarchyConfig::mem_400(),
+            Benchmark::Swim,
+            15_000,
+        );
+        assert!(stats.committed >= 15_000, "committed={}", stats.committed);
+        let peaks = [stats.llrf_int_peak_regs, stats.llrf_fp_peak_regs];
+        assert!(peaks.iter().all(|&peak| peak <= 8), "{peaks:?}");
+        assert!(peaks.contains(&8), "neither LLRF filled: {peaks:?}");
     }
 
     #[test]

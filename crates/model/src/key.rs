@@ -79,7 +79,7 @@ impl KeyWriter {
 ///
 /// Implementations must be *exhaustive* (destructure every field) and
 /// *stable* (never reorder or reformat existing fields without an
-/// accompanying store-version bump — see `dkip_sim::store::RESULTS_EPOCH`).
+/// accompanying store-version bump — see `dkip_sim::store::STORE_VERSION`).
 pub trait StableKey {
     /// Writes every behaviour-determining field of `self` to `w`.
     fn write_key(&self, w: &mut KeyWriter);
@@ -92,15 +92,25 @@ pub trait StableKey {
     }
 }
 
-/// 128-bit FNV-1a over `bytes`.
+/// 128-bit FNV-1a over `bytes`. A `const fn`, so it also digests
+/// `include_bytes!` data at compile time.
 #[must_use]
-pub fn fnv1a_128(bytes: &[u8]) -> u128 {
+pub const fn fnv1a_128(bytes: &[u8]) -> u128 {
     const OFFSET_BASIS: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
+    fnv1a_128_continue(OFFSET_BASIS, bytes)
+}
+
+/// Continues the 128-bit FNV-1a digest `hash` over `bytes`:
+/// `fnv1a_128_continue(fnv1a_128(a), b)` is `fnv1a_128` of `a` followed by
+/// `b`.
+#[must_use]
+pub const fn fnv1a_128_continue(mut hash: u128, bytes: &[u8]) -> u128 {
     const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
-    let mut hash = OFFSET_BASIS;
-    for &b in bytes {
-        hash ^= u128::from(b);
+    let mut i = 0;
+    while i < bytes.len() {
+        hash ^= bytes[i] as u128;
         hash = hash.wrapping_mul(PRIME);
+        i += 1;
     }
     hash
 }
@@ -362,6 +372,7 @@ mod tests {
         // Published FNV-1a 128-bit test vectors.
         assert_eq!(fnv1a_128(b""), 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d);
         assert_eq!(key_digest("a"), "d228cb696f1a8caf78912b704e4a8964");
+        assert_eq!(fnv1a_128_continue(fnv1a_128(b""), b"a"), fnv1a_128(b"a"));
     }
 
     #[test]

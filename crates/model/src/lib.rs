@@ -61,7 +61,7 @@ pub use config::{
 };
 pub use error::ConfigError;
 pub use instr::{BranchInfo, BranchKind, MicroOp};
-pub use key::{fnv1a_128, key_digest, KeyWriter, StableKey};
+pub use key::{fnv1a_128, fnv1a_128_continue, key_digest, KeyWriter, StableKey};
 pub use op::{FuPool, OpClass};
 pub use reg::{ArchReg, PhysReg, RegClass, FP_ARCH_REGS, INT_ARCH_REGS, TOTAL_ARCH_REGS};
 pub use sim_core::{drive, SimCore};

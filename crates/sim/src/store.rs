@@ -15,8 +15,9 @@
 //! header folds in:
 //!
 //! * the store format version ([`STORE_VERSION`]),
-//! * [`RESULTS_EPOCH`] — a manually bumped counter for "results changed
-//!   without a config-struct change" events,
+//! * [`RESULTS_DIGEST`] — a compile-time digest of the result goldens, so
+//!   any change that moves a simulated result (and so re-blesses a golden)
+//!   changes the salt,
 //! * the `dkip-sim` crate version (`CARGO_PKG_VERSION`),
 //! * the free-form [`CACHE_SALT_ENV`] environment variable (empty when
 //!   unset), which tests and operators use to force cold runs.
@@ -24,8 +25,8 @@
 //! The job key text itself is produced by exhaustive destructuring
 //! ([`dkip_model::StableKey`]): adding a field to any config struct without
 //! extending its key is a compile error, so silently stale hits after a
-//! config change are impossible. Anyone changing simulator behaviour
-//! without touching a config struct must bump [`RESULTS_EPOCH`].
+//! config change are impossible. A change of simulator behaviour without a
+//! config change re-blesses the goldens, which moves [`RESULTS_DIGEST`].
 //!
 //! # Integrity
 //!
@@ -59,7 +60,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::chaos::{self, FaultPoint};
-use dkip_model::{key_digest, SimStats};
+use dkip_model::{fnv1a_128, fnv1a_128_continue, key_digest, SimStats};
 
 /// Environment variable selecting the cache directory (empty = disabled).
 pub const CACHE_ENV: &str = "DKIP_CACHE";
@@ -69,10 +70,46 @@ pub const CACHE_ENV: &str = "DKIP_CACHE";
 /// directory — the perturbation knob `make cache-check` uses.
 pub const CACHE_SALT_ENV: &str = "DKIP_CACHE_SALT";
 
-/// Manually bumped whenever simulated results change without any config
-/// struct changing shape (e.g. a timing-model bug fix). Part of the cache
-/// salt, so bumping it invalidates every cached result.
-pub const RESULTS_EPOCH: u32 = 2;
+/// The result goldens [`RESULTS_DIGEST`] covers, by file name: every
+/// `tests/golden/*.golden` but `cache_keys.golden`, which pins the key
+/// derivation rather than any result.
+pub const RESULT_GOLDENS: [(&str, &[u8]); 5] = [
+    (
+        "baseline.golden",
+        include_bytes!("../../../tests/golden/baseline.golden"),
+    ),
+    (
+        "kilo.golden",
+        include_bytes!("../../../tests/golden/kilo.golden"),
+    ),
+    (
+        "dkip.golden",
+        include_bytes!("../../../tests/golden/dkip.golden"),
+    ),
+    (
+        "riscv.golden",
+        include_bytes!("../../../tests/golden/riscv.golden"),
+    ),
+    (
+        "sampled.golden",
+        include_bytes!("../../../tests/golden/sampled.golden"),
+    ),
+];
+
+/// FNV-1a over the [`RESULT_GOLDENS`] in order, computed at compile time
+/// so opening a store hashes nothing. A change that moves any simulated
+/// result re-blesses a golden and so changes this digest. It is part of the
+/// cache salt, so such a change invalidates every cached result, with no
+/// counter to remember to bump.
+pub const RESULTS_DIGEST: u128 = {
+    let mut hash = fnv1a_128(b"");
+    let mut i = 0;
+    while i < RESULT_GOLDENS.len() {
+        hash = fnv1a_128_continue(hash, RESULT_GOLDENS[i].1);
+        i += 1;
+    }
+    hash
+};
 
 /// On-disk entry format version (first line of every entry file).
 pub const STORE_VERSION: &str = "dkip-store v1";
@@ -153,7 +190,7 @@ impl ResultStore {
     fn salt_header() -> String {
         let extra = std::env::var(CACHE_SALT_ENV).unwrap_or_default();
         format!(
-            "{STORE_VERSION}\nepoch={RESULTS_EPOCH}\ncrate={}\nsalt={extra}\n",
+            "{STORE_VERSION}\nresults={RESULTS_DIGEST:032x}\ncrate={}\nsalt={extra}\n",
             env!("CARGO_PKG_VERSION"),
         )
     }

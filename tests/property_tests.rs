@@ -52,28 +52,44 @@ proptest! {
     }
 
     /// The LLBV marked count always equals the number of registers whose bit
-    /// is set, under any interleaving of marks and clears.
+    /// is set, a register's bit is set exactly when it has a writer, and the
+    /// writer is the latest one marked, under any interleaving of marks and
+    /// clears.
     #[test]
-    fn llbv_marked_count_matches_bits(ops in proptest::collection::vec((0usize..TOTAL_ARCH_REGS, any::<bool>()), 1..200)) {
+    fn llbv_marked_count_matches_bits(ops in proptest::collection::vec((0usize..TOTAL_ARCH_REGS, any::<bool>(), any::<bool>()), 1..200)) {
         let mut llbv = Llbv::new();
-        for (flat, set) in ops {
+        let mut model = [None; TOTAL_ARCH_REGS];
+        for (i, (flat, set, load)) in ops.into_iter().enumerate() {
             let reg = ArchReg::from_flat_index(flat);
             if set {
-                llbv.mark(reg, LowLocalityWriter::Load(flat as u64));
+                let seq = i as u64;
+                let writer = if load {
+                    LowLocalityWriter::Load(seq)
+                } else {
+                    LowLocalityWriter::MpInstr(seq)
+                };
+                llbv.mark(reg, writer);
+                model[flat] = Some(writer);
             } else {
                 llbv.clear(reg);
+                model[flat] = None;
             }
         }
-        let actual = (0..TOTAL_ARCH_REGS)
-            .filter(|&i| llbv.is_long_latency(ArchReg::from_flat_index(i)))
-            .count();
+        let mut actual = 0;
+        for (flat, expected) in model.iter().enumerate() {
+            let reg = ArchReg::from_flat_index(flat);
+            prop_assert_eq!(llbv.writer(reg), *expected);
+            prop_assert_eq!(llbv.is_long_latency(reg), expected.is_some());
+            actual += usize::from(llbv.is_long_latency(reg));
+        }
         prop_assert_eq!(actual, llbv.marked_count());
     }
 
-    /// LLRF allocations never exceed capacity and occupancy is conserved by
-    /// free.
+    /// An LLRF allocation is refused exactly when every register is taken,
+    /// the occupancy and the peak follow the allocations and frees, and
+    /// freeing everything returns the occupancy to zero.
     #[test]
-    fn llrf_allocation_is_conserved(requests in 1usize..200) {
+    fn llrf_allocation_is_conserved(events in proptest::collection::vec(0u8..4, 1..300)) {
         let cfg = LlibConfig {
             capacity: 256,
             insertion_rate: 4,
@@ -82,19 +98,27 @@ proptest! {
             llrf_regs_per_bank: 8,
         };
         let mut llrf = Llrf::new(&cfg);
-        let mut slots = Vec::new();
-        for _ in 0..requests {
-            match llrf.allocate() {
-                Some(slot) => slots.push(slot),
-                None => break,
+        let (mut held, mut peak) = (0, 0);
+        // Three allocations to each free, so most runs fill the LLRF.
+        for event in events {
+            if event > 0 {
+                let full = held == llrf.capacity();
+                prop_assert_eq!(llrf.allocate(), !full);
+                held += usize::from(!full);
+                peak = peak.max(held);
+            } else if held > 0 {
+                llrf.free();
+                held -= 1;
             }
+            prop_assert!(llrf.occupied() <= llrf.capacity());
+            prop_assert_eq!(llrf.occupied(), held);
+            prop_assert_eq!(llrf.peak(), peak);
         }
-        prop_assert!(slots.len() <= llrf.capacity());
-        prop_assert_eq!(llrf.occupied(), slots.len());
-        for slot in slots {
-            llrf.free(slot);
+        for _ in 0..held {
+            llrf.free();
         }
         prop_assert_eq!(llrf.occupied(), 0);
+        prop_assert_eq!(llrf.peak(), peak);
     }
 
     /// The checkpoint stack never exceeds its capacity and always keeps a
@@ -106,7 +130,7 @@ proptest! {
         for event in events {
             match event {
                 0 => {
-                    if let Some(epoch) = stack.take(0) {
+                    if let Some(epoch) = stack.take() {
                         live_epochs.push(epoch);
                     }
                 }

@@ -10,15 +10,15 @@
 //! invalidates every cache in the world (annoying) or, far worse, could
 //! let two different configurations collide. Accept an *intended* change
 //! with `DKIP_BLESS=1 cargo test --test store` and bump
-//! `dkip_sim::store::RESULTS_EPOCH` in the same commit.
+//! `dkip_sim::store::STORE_VERSION` in the same commit.
 
 use std::path::PathBuf;
 use std::sync::{Barrier, Mutex};
 
-use dkip::model::{key_digest, Histogram, SimStats};
+use dkip::model::{fnv1a_128, fnv1a_128_continue, key_digest, Histogram, SimStats};
 use dkip::sim::chaos;
 use dkip::sim::runner::results_to_kv;
-use dkip::sim::store::{ResultStore, CACHE_SALT_ENV};
+use dkip::sim::store::{ResultStore, CACHE_SALT_ENV, RESULTS_DIGEST, RESULT_GOLDENS};
 use dkip::sim::{golden, suites, SweepRunner};
 
 /// Serialises tests that open stores or touch `DKIP_CACHE_SALT`: the salt
@@ -57,9 +57,38 @@ fn cache_key_fixture_pins_the_hash_inputs() {
     if let Err(err) = golden::check(&golden_path("cache_keys.golden"), &doc) {
         panic!(
             "cache-key derivation changed — if intended, bless this fixture AND bump \
-             dkip_sim::store::RESULTS_EPOCH\n{err}"
+             dkip_sim::store::STORE_VERSION\n{err}"
         );
     }
+}
+
+/// The results digest in the cache salt is the one the golden files on disk
+/// give, and it covers every result golden: a new `tests/golden/*.golden`
+/// left out of `RESULT_GOLDENS` would let its results change without
+/// invalidating the store.
+#[test]
+fn results_digest_covers_every_result_golden_on_disk() {
+    let mut on_disk: Vec<String> = std::fs::read_dir(golden_path(""))
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .filter(|name| name.ends_with(".golden") && name != "cache_keys.golden")
+        .collect();
+    on_disk.sort();
+    let mut hashed: Vec<String> = RESULT_GOLDENS
+        .iter()
+        .map(|(name, _)| (*name).to_owned())
+        .collect();
+    hashed.sort();
+    assert_eq!(
+        hashed, on_disk,
+        "RESULT_GOLDENS must list every result golden"
+    );
+    let recomputed = RESULT_GOLDENS
+        .iter()
+        .fold(fnv1a_128(b""), |hash, (name, _)| {
+            fnv1a_128_continue(hash, &std::fs::read(golden_path(name)).unwrap())
+        });
+    assert_eq!(recomputed, RESULTS_DIGEST);
 }
 
 /// Cold populate, then warm re-runs at 1 and 8 threads: zero recomputes,
