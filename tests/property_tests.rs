@@ -98,11 +98,13 @@ proptest! {
             llrf_regs_per_bank: 8,
         };
         let mut llrf = Llrf::new(&cfg);
+        let capacity = cfg.llrf_banks * cfg.llrf_regs_per_bank;
+        prop_assert_eq!(llrf.capacity(), capacity);
         let (mut held, mut peak) = (0, 0);
         // Three allocations to each free, so most runs fill the LLRF.
         for event in events {
             if event > 0 {
-                let full = held == llrf.capacity();
+                let full = held == capacity;
                 prop_assert_eq!(llrf.allocate(), !full);
                 held += usize::from(!full);
                 peak = peak.max(held);
@@ -110,7 +112,6 @@ proptest! {
                 llrf.free();
                 held -= 1;
             }
-            prop_assert!(llrf.occupied() <= llrf.capacity());
             prop_assert_eq!(llrf.occupied(), held);
             prop_assert_eq!(llrf.peak(), peak);
         }
