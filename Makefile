@@ -142,7 +142,11 @@ trace-smoke: build
 ##  3. a salt perturbation (DKIP_CACHE_SALT) and a budget perturbation must
 ##     both miss the populated store (expect=cold);
 ##  4. dkip-sim serve must answer a repeated sweep query from the cache
-##     (hits>0, misses=0 on the repeat) with byte-identical bodies.
+##     (hits>0, misses=0 on the repeat) with byte-identical bodies;
+##  5. sharded sweeps: shards 0/2 and 1/2 of "all" on a fresh store must
+##     leave it warm for the whole sweep, whose output must equal the
+##     unsharded cold run (cmp); a re-run of shard 0/2 must resume every
+##     one of its jobs from the store (misses=0, resumed= equal to jobs=).
 cache-check: build
 	rm -rf $(CACHE_CHECK_DIR) && mkdir -p $(CACHE_CHECK_DIR)
 	./target/release/dkip-sim sweep all cache=$(CACHE_CHECK_DIR)/store expect=cold \
@@ -150,6 +154,16 @@ cache-check: build
 	./target/release/dkip-sim sweep all cache=$(CACHE_CHECK_DIR)/store expect=warm \
 		> $(CACHE_CHECK_DIR)/sweep-warm.txt
 	cmp $(CACHE_CHECK_DIR)/sweep-cold.txt $(CACHE_CHECK_DIR)/sweep-warm.txt
+	./target/release/dkip-sim sweep all shard=0/2 cache=$(CACHE_CHECK_DIR)/shards > /dev/null
+	./target/release/dkip-sim sweep all shard=1/2 cache=$(CACHE_CHECK_DIR)/shards > /dev/null
+	./target/release/dkip-sim sweep all cache=$(CACHE_CHECK_DIR)/shards expect=warm \
+		> $(CACHE_CHECK_DIR)/sweep-sharded.txt
+	cmp $(CACHE_CHECK_DIR)/sweep-cold.txt $(CACHE_CHECK_DIR)/sweep-sharded.txt
+	./target/release/dkip-sim sweep all shard=0/2 cache=$(CACHE_CHECK_DIR)/shards \
+		> /dev/null 2> $(CACHE_CHECK_DIR)/shard-resume.status
+	shard_jobs=$$(sed -n 's/.* jobs=\([0-9]*\) .*/\1/p' $(CACHE_CHECK_DIR)/shard-resume.status); \
+	grep -q " misses=0 .* resumed=$$shard_jobs " $(CACHE_CHECK_DIR)/shard-resume.status || \
+		{ echo "a re-run shard did not resume every job:"; cat $(CACHE_CHECK_DIR)/shard-resume.status; exit 1; }
 	./target/release/fig09_comparison 2000 cache=$(CACHE_CHECK_DIR)/store expect=cold \
 		> $(CACHE_CHECK_DIR)/fig09-cold.txt
 	./target/release/fig09_comparison 2000 cache=$(CACHE_CHECK_DIR)/store expect=warm \
@@ -177,7 +191,7 @@ cache-check: build
 		{ echo "serve recomputed jobs on a repeated query:"; cat $(CACHE_CHECK_DIR)/query2.status; exit 1; }
 	cmp $(CACHE_CHECK_DIR)/query1.txt $(CACHE_CHECK_DIR)/query2.txt
 	cmp $(CACHE_CHECK_DIR)/query1.txt $(CACHE_CHECK_DIR)/sweep-cold.txt
-	@echo "cache-check: warm runs recompute nothing and are byte-identical; reused results are cached; perturbations miss; serve answers from cache"
+	@echo "cache-check: warm runs recompute nothing and are byte-identical; shards fill the store and resume; reused results are cached; perturbations miss; serve answers from cache"
 
 ## Chaos campaigns, mirrored by the CI chaos-check job. Fault points are
 ## armed per process via DKIP_FAULTS=<point>:<rate>:<seed> (see
@@ -242,7 +256,10 @@ chaos-check: build
 ## unit tests (one-pass perceptron training equals predict+update;
 ## warm_forward reports what the skipped ops carry) and the dkip-sim test
 ## that warming from the source matches the per-op reference loop on every
-## golden sampled job.
+## golden sampled job. Last, every simulating figure binary runs exact and
+## under sample= at budget 2000: Figures 3, 13 and 14 must exit 2 naming
+## what they read, and no other figure may print a series that is all zeros
+## sampled where the exact run's is not.
 ## Release mode: the accuracy suite simulates ~100k-1M instructions per
 ## job twice. Mirrored by the CI sample-check job.
 sample-check:
@@ -251,6 +268,7 @@ sample-check:
 	cargo test -q --release -p dkip-model -p dkip-ooo -p dkip-mem -p dkip-core
 	cargo test -q --release -p dkip-bpred -p dkip-riscv -p dkip-trace
 	cargo test -q --release -p dkip-sim --lib warming_from_the_source
+	cargo test -q --release -p dkip-bench --test sampled_figures
 
 ## Differential-fuzz smoke: 200 random RV64IM programs through the emulator
 ## oracle and all three core families, plus the checked-in corpus replay,

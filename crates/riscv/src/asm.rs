@@ -14,11 +14,11 @@
 //!   `seqz`, `snez`, `j`, `call`, `ret`, `beqz`/`bnez`/`bltz`/`bgez`/
 //!   `bgtz`/`blez`, and the swapped-operand forms `ble`/`bgt`/`bleu`/`bgtu`.
 //!
-//! Pass 1 parses and expands pseudo-instructions (so every entry has a fixed
-//! 4-byte size) and records label addresses; pass 2 resolves label operands
-//! to PC-relative offsets and encodes.
+//! Pass 1 parses and expands pseudo-instructions (so every entry takes one
+//! 4-byte slot) and records label addresses; pass 2 resolves label operands
+//! to PC-relative offsets and checks that they fit.
 
-use crate::isa::{AluImmOp, AluOp, BranchCond, Inst, MemWidth, Reg};
+use crate::isa::{AluImmOp, AluOp, BranchCond, Inst, Reg, LOADS, STORES};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -39,16 +39,14 @@ impl fmt::Display for AsmError {
 
 impl std::error::Error for AsmError {}
 
-/// An assembled program: decoded instructions plus their machine words,
-/// laid out contiguously from [`Program::base`].
+/// An assembled program: its instructions, one 4-byte slot each, laid out
+/// contiguously from [`Program::base`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
     /// The address of the first instruction.
     pub base: u64,
-    /// Decoded instructions in layout order.
+    /// Instructions in layout order.
     pub insts: Vec<Inst>,
-    /// The 32-bit machine words (`words[i] == insts[i].encode()`).
-    pub words: Vec<u32>,
     /// Label name → absolute address.
     pub labels: HashMap<String, u64>,
 }
@@ -256,27 +254,27 @@ fn parse_inst(mnemonic: &str, rest: &str, p: &Parser<'_>) -> Result<Vec<Proto>, 
             imm,
         })]);
     }
-    let load = |width, signed| -> Result<Vec<Proto>, AsmError> {
+    if let Some(&(_, width, signed)) = LOADS.iter().find(|(m, ..)| *m == mnemonic) {
         need(2)?;
         let (imm, rs1) = p.mem(ops[1])?;
-        Ok(vec![Proto::Ready(Inst::Load {
+        return Ok(vec![Proto::Ready(Inst::Load {
             width,
             signed,
             rd: p.reg(ops[0])?,
             rs1,
             imm,
-        })])
-    };
-    let store = |width| -> Result<Vec<Proto>, AsmError> {
+        })]);
+    }
+    if let Some(&(_, width)) = STORES.iter().find(|(m, _)| *m == mnemonic) {
         need(2)?;
         let (imm, rs1) = p.mem(ops[1])?;
-        Ok(vec![Proto::Ready(Inst::Store {
+        return Ok(vec![Proto::Ready(Inst::Store {
             width,
             rs2: p.reg(ops[0])?,
             rs1,
             imm,
-        })])
-    };
+        })]);
+    }
     let branch = |cond, swap: bool| -> Result<Vec<Proto>, AsmError> {
         need(3)?;
         let (a, b) = (p.reg(ops[0])?, p.reg(ops[1])?);
@@ -304,24 +302,14 @@ fn parse_inst(mnemonic: &str, rest: &str, p: &Parser<'_>) -> Result<Vec<Proto>, 
         }])
     };
 
+    if let Some(cond) = BranchCond::ALL
+        .into_iter()
+        .find(|cond| cond.mnemonic() == mnemonic)
+    {
+        return branch(cond, false);
+    }
+
     match mnemonic {
-        "lb" => load(MemWidth::B, true),
-        "lh" => load(MemWidth::H, true),
-        "lw" => load(MemWidth::W, true),
-        "ld" => load(MemWidth::D, true),
-        "lbu" => load(MemWidth::B, false),
-        "lhu" => load(MemWidth::H, false),
-        "lwu" => load(MemWidth::W, false),
-        "sb" => store(MemWidth::B),
-        "sh" => store(MemWidth::H),
-        "sw" => store(MemWidth::W),
-        "sd" => store(MemWidth::D),
-        "beq" => branch(BranchCond::Eq, false),
-        "bne" => branch(BranchCond::Ne, false),
-        "blt" => branch(BranchCond::Lt, false),
-        "bge" => branch(BranchCond::Ge, false),
-        "bltu" => branch(BranchCond::Ltu, false),
-        "bgeu" => branch(BranchCond::Geu, false),
         "ble" => branch(BranchCond::Ge, true),
         "bgt" => branch(BranchCond::Lt, true),
         "bleu" => branch(BranchCond::Geu, true),
@@ -517,7 +505,7 @@ pub fn assemble(source: &str, base: u64) -> Result<Program, AsmError> {
         }
     }
 
-    // Pass 2: resolve targets and encode.
+    // Pass 2: resolve targets and check their range.
     let mut insts = Vec::with_capacity(protos.len());
     for (pos, (line, proto)) in protos.iter().enumerate() {
         let pc = base + 4 * pos as u64;
@@ -566,11 +554,9 @@ pub fn assemble(source: &str, base: u64) -> Result<Program, AsmError> {
         };
         insts.push(inst);
     }
-    let words = insts.iter().map(Inst::encode).collect();
     Ok(Program {
         base,
         insts,
-        words,
         labels,
     })
 }
@@ -578,6 +564,7 @@ pub fn assemble(source: &str, base: u64) -> Result<Program, AsmError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isa::MemWidth;
 
     fn asm(src: &str) -> Program {
         assemble(src, 0x1000).expect("assembles")
@@ -715,6 +702,60 @@ mod tests {
             let re = assemble(&inst.to_string(), 0x1000).expect("disassembly parses");
             assert_eq!(re.insts[0], *inst, "{inst}");
         }
+    }
+
+    #[test]
+    fn operand_ranges_are_checked_at_their_extremes() {
+        // (form with `{}` for the operand, values at the extremes that are
+        // accepted, values one step past them that are refused)
+        let cases: [(&str, &[i64], &[i64]); 15] = [
+            ("addi a0, a1, {}", &[-2048, 2047], &[-2049, 2048]),
+            ("lw a0, {}(sp)", &[-2048, 2047], &[-2049, 2048]),
+            ("sd a0, {}(sp)", &[-2048, 2047], &[-2049, 2048]),
+            ("jalr ra, {}(a0)", &[-2048, 2047], &[-2049, 2048]),
+            ("slli a0, a1, {}", &[0, 63], &[-1, 64]),
+            ("srli a0, a1, {}", &[0, 63], &[-1, 64]),
+            ("srai a0, a1, {}", &[0, 63], &[-1, 64]),
+            ("slliw a0, a1, {}", &[0, 31], &[-1, 32]),
+            ("srliw a0, a1, {}", &[0, 31], &[-1, 32]),
+            ("sraiw a0, a1, {}", &[0, 31], &[-1, 32]),
+            (
+                "lui a0, {}",
+                &[-(1 << 19), (1 << 19) - 1],
+                &[-(1 << 19) - 1, 1 << 19],
+            ),
+            (
+                "auipc a0, {}",
+                &[-(1 << 19), (1 << 19) - 1],
+                &[-(1 << 19) - 1, 1 << 19],
+            ),
+            (
+                "beq a0, a1, {}",
+                &[-4096, 4094],
+                &[-4098, 4096, 4095, -3, 1],
+            ),
+            ("bnez a0, {}", &[-4096, 4094], &[-4098, 4096, 1]),
+            (
+                "jal ra, {}",
+                &[-(1 << 20), (1 << 20) - 2],
+                &[-(1 << 20) - 2, 1 << 20, 1],
+            ),
+        ];
+        for (form, accepted, refused) in cases {
+            for v in accepted {
+                let line = form.replace("{}", &v.to_string());
+                assemble(&line, 0).unwrap_or_else(|e| panic!("'{line}' refused: {e}"));
+            }
+            for v in refused {
+                let line = form.replace("{}", &v.to_string());
+                let err = assemble(&format!("nop\n{line}\nnop"), 0).expect_err(&line);
+                assert_eq!(err.line, 2, "'{line}': {err}");
+            }
+        }
+        // A doubleword load needs no extension, so `ldu` does not exist.
+        let err = assemble("nop\nldu a0, 0(sp)", 0).unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("unknown mnemonic"), "{err}");
     }
 
     #[test]

@@ -61,7 +61,7 @@
 
 use crate::asm::{assemble, Program};
 use crate::emu::{Emulator, CODE_BASE, DATA_BASE};
-use crate::isa::{AluImmOp, AluOp, BranchCond, Inst, MemWidth, Reg};
+use crate::isa::{AluImmOp, AluOp, BranchCond, Inst, MemWidth, Reg, LOADS, STORES};
 use std::fmt::Write as _;
 
 /// Size in bytes of each base register's scratch window. `s0` points at
@@ -401,15 +401,7 @@ impl Generator {
             }
             // Scratch-region load.
             63..=77 => {
-                let (width, signed) = self.rng.pick(&[
-                    (MemWidth::B, true),
-                    (MemWidth::B, false),
-                    (MemWidth::H, true),
-                    (MemWidth::H, false),
-                    (MemWidth::W, true),
-                    (MemWidth::W, false),
-                    (MemWidth::D, true),
-                ]);
+                let (_, width, signed) = self.rng.pick(&LOADS);
                 let inst = Inst::Load {
                     width,
                     signed,
@@ -421,9 +413,7 @@ impl Generator {
             }
             // Scratch-region store.
             78..=89 => {
-                let width = self
-                    .rng
-                    .pick(&[MemWidth::B, MemWidth::H, MemWidth::W, MemWidth::D]);
+                let (_, width) = self.rng.pick(&STORES);
                 let inst = Inst::Store {
                     width,
                     rs2: self.src_reg(),

@@ -5,7 +5,7 @@
 //! embedded [`kernels`] (matmul, pointer-chasing list walk, prime sieve,
 //! recursive Fibonacci, streaming memcpy, box blur) — or a seeded random
 //! program from the [`gen`] differential-fuzzing generator — into RV64IM
-//! machine code, the functional [`emu`] emulator executes them
+//! [`isa::Inst`] values, the functional [`emu`] emulator executes them
 //! architecturally, and
 //! [`stream::RiscvStream`] cracks every retired instruction into the
 //! [`dkip_model::MicroOp`] stream the core models consume — with genuine
@@ -43,6 +43,6 @@ pub mod stream;
 pub use asm::{assemble, AsmError, Program};
 pub use emu::{Emulator, Retired, CODE_BASE, DATA_BASE, MEM_SIZE};
 pub use gen::{GenConfig, GeneratedProgram};
-pub use isa::{decode, AluImmOp, AluOp, BranchCond, DecodeError, Inst, MemWidth, Reg};
+pub use isa::{AluImmOp, AluOp, BranchCond, Inst, MemWidth, Reg, LOADS, STORES};
 pub use kernels::{Kernel, KernelRun};
 pub use stream::RiscvStream;
